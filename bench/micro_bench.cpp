@@ -5,8 +5,6 @@
 // and Reed–Solomon encode/decode.
 #include <benchmark/benchmark.h>
 
-#include <any>
-
 #include "dht/spatial_index.hpp"
 #include "gc/garbage_collector.hpp"
 #include "net/rpc.hpp"
@@ -105,21 +103,6 @@ void BM_FabricRpcRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricRpcRoundTrip);
 
-// Envelope pack/unpack only: the std::any packet payload the typed codec
-// replaced (kept here, outside src/, as the before/after reference).
-void BM_PayloadEnvelopeAny(benchmark::State& state) {
-  for (auto _ : state) {
-    net::FragmentPrune prune;
-    prune.owner = 1;
-    prune.var = "field";
-    prune.upto = 7;
-    std::any envelope = std::move(prune);
-    auto& out = std::any_cast<net::FragmentPrune&>(envelope);
-    benchmark::DoNotOptimize(out.upto);
-  }
-}
-BENCHMARK(BM_PayloadEnvelopeAny);
-
 void BM_PayloadEnvelopeTyped(benchmark::State& state) {
   for (auto _ : state) {
     net::FragmentPrune prune;
@@ -157,26 +140,12 @@ void BM_SpatialPlace(benchmark::State& state) {
 }
 BENCHMARK(BM_SpatialPlace)->Arg(4)->Arg(16)->Arg(64);
 
-// The epoch-aware refactor must add no lookup-path regression: these two
-// run the identical place() workload against a constructor-time map
-// (epoch 0, the legacy shape) and against a map that lived through a
-// grow/shrink episode (joins + retires fragment the curve segments).
-void BM_DhtLegacyLookup(benchmark::State& state) {
-  dht::SpatialIndex index(Box::from_dims(512, 512, 256),
-                          static_cast<int>(state.range(0)), 8);
-  Box query{{17, 33, 9}, {430, 401, 200}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.place(query));
-    benchmark::DoNotOptimize(index.server_of({100, 200, 50}));
-  }
-}
-BENCHMARK(BM_DhtLegacyLookup)->Arg(4)->Arg(16);
-
 void BM_DhtEpochLookup(benchmark::State& state) {
   const int servers = static_cast<int>(state.range(0));
   dht::SpatialIndex index(Box::from_dims(512, 512, 256), servers, 8);
-  // Grow by two, shrink back: same active count as the legacy index but
-  // ownership assigned across four epochs of minimal-motion moves.
+  // Grow by two, shrink back: same active count as BM_SpatialPlace's
+  // epoch-0 index, but ownership assigned across four epochs of
+  // minimal-motion moves.
   benchmark::DoNotOptimize(index.add_server(servers));
   benchmark::DoNotOptimize(index.add_server(servers + 1));
   benchmark::DoNotOptimize(index.remove_server(0));

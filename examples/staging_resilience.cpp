@@ -19,7 +19,9 @@ int main() {
   net::Fabric fabric(eng, {});
   cluster::Cluster cluster(eng, fabric);
   const Box domain = Box::from_dims(128, 128, 128);
-  const int nservers = 4;
+  // RS(4,2): the owner keeps the payload and pushes k+m-1 = 5 shards, one
+  // per peer, so six servers give every shard a distinct holder.
+  const int nservers = 6;
   dht::SpatialIndex index(domain, nservers, 8);
 
   staging::ServerParams params;

@@ -155,7 +155,12 @@ std::shared_ptr<const ReferenceCache::Entry> run_reference(
         entry->reads[read_key(c.spec.name, var, ts)] =
             ReferenceCache::ReadObs{checksum, bytes, wrong_version + corrupt};
       };
-  runner.run();
+  try {
+    runner.run();
+  } catch (const std::runtime_error& e) {
+    entry->failure = e.what();
+    return entry;
+  }
   entry->trace = runner.trace().events();
   entry->digest = runner.trace().digest();
   if (const obs::FlightRecorder* rec = runner.runtime().recorder()) {
@@ -223,7 +228,21 @@ std::shared_ptr<const ReferenceCache::Entry> ReferenceCache::reference_for(
 OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
                             Sabotage sabotage, bool capture_bundle) {
   OracleReport report;
-  const auto ref = cache.reference_for(s);
+  // The reference for a configuration, or null when that run did not
+  // terminate: there is then nothing to compare against, and the liveness
+  // violation (invariant 4) is the schedule's verdict.
+  const auto checked_reference =
+      [&report, &cache](const Schedule& config, const char* which)
+      -> std::shared_ptr<const ReferenceCache::Entry> {
+    auto ref = cache.reference_for(config);
+    if (ref->failure.empty()) return ref;
+    add_violation(report.violations, 4,
+                  std::string(which) + " reference run did not terminate: " +
+                      ref->failure);
+    return nullptr;
+  };
+  const auto ref = checked_reference(s, "failure-free");
+  if (ref == nullptr) return report;
   report.reference_digest = ref->digest;
 
   const auto real_policy = core::make_scheme_policy(s.scheme);
@@ -601,10 +620,11 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
   // rebases them onto the single-tenant reference. Content identity is
   // tenant-invariant (chunk payloads key on the base variable), so
   // checksums and byte counts are directly comparable across namespaces.
-  if (s.tenants > 1) {
-    Schedule solo = s;
-    solo.tenants = 1;
-    const auto solo_ref = cache.reference_for(solo);
+  Schedule solo = s;
+  solo.tenants = 1;
+  const auto solo_ref =
+      s.tenants > 1 ? checked_reference(solo, "solo") : nullptr;
+  if (solo_ref != nullptr) {
     for (const auto& [key, occurrences] : obs.reads) {
       const std::size_t bar = key.find('|');
       const std::size_t at = key.rfind("@t", bar);
@@ -646,10 +666,12 @@ OracleReport check_schedule(const Schedule& s, ReferenceCache& cache,
   // bit-for-bit (checksums compare piece identity; the timing of the two
   // references may differ — encoded wire sizes are the point — so only
   // read content is compared, never the trace digest).
-  if (s.codec != wlog::codec::Scheme::kNone) {
-    Schedule raw = s;
-    raw.codec = wlog::codec::Scheme::kNone;
-    const auto raw_ref = cache.reference_for(raw);
+  Schedule raw = s;
+  raw.codec = wlog::codec::Scheme::kNone;
+  const auto raw_ref = s.codec != wlog::codec::Scheme::kNone
+                           ? checked_reference(raw, "codec-off")
+                           : nullptr;
+  if (raw_ref != nullptr) {
     for (const auto& [key, expect] : ref->reads) {
       ++report.codec_reads_checked;
       const auto it = raw_ref->reads.find(key);

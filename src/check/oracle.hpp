@@ -156,10 +156,15 @@ class ReferenceCache {
     /// The reference run's flight-recorder dump: what the forensic diff
     /// compares a failing run's events against.
     std::vector<obs::FrDecoded> recorder_events;
+    /// Why the reference run did not terminate (empty when it did). Kept
+    /// in the entry so every schedule sharing the configuration gets the
+    /// same verdict without re-running it.
+    std::string failure;
   };
 
   /// The failure-free reference for `s`'s configuration (failures and id
   /// stripped). Blocks on first use per configuration; cheap thereafter.
+  /// A reference run that throws is cached as an entry with `failure` set.
   std::shared_ptr<const Entry> reference_for(const Schedule& s);
 
  private:

@@ -1,10 +1,11 @@
 #include "staging/client.hpp"
 
 #include <map>
-#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 #include "sim/spawn.hpp"
@@ -43,37 +44,21 @@ void StagingClient::fail_if_degraded(int server) const {
   }
 }
 
-sim::Task<PutResponse> StagingClient::send_put(sim::Ctx ctx, int server,
-                                               Chunk chunk) {
+template <class Req>
+sim::Task<typename Req::Response> StagingClient::send(sim::Ctx ctx,
+                                                      int server, Req req) {
   fail_if_degraded(server);
-  PutRequest req;
   req.app = params_.app;
-  req.chunk = std::move(chunk);
   req.logged = params_.logged;
   req.tenant = params_.tenant;
+  const net::RetryPolicy policy =
+      std::is_same_v<Req, GetRequest> ? get_policy() : put_policy();
   try {
     co_return co_await rpc_.call(ctx, server_endpoint(server), std::move(req),
-                                 put_policy());
+                                 policy);
   } catch (const std::runtime_error&) {
     // Retries exhausted: distinguish "the server is gone for good" from a
     // transient stall before re-surfacing.
-    fail_if_degraded(server);
-    throw;
-  }
-}
-
-sim::Task<BatchPutResponse> StagingClient::send_batch(
-    sim::Ctx ctx, int server, std::vector<Chunk> chunks) {
-  fail_if_degraded(server);
-  BatchPut req;
-  req.app = params_.app;
-  req.logged = params_.logged;
-  req.chunks = std::move(chunks);
-  req.tenant = params_.tenant;
-  try {
-    co_return co_await rpc_.call(ctx, server_endpoint(server), std::move(req),
-                                 put_policy());
-  } catch (const std::runtime_error&) {
     fail_if_degraded(server);
     throw;
   }
@@ -90,7 +75,9 @@ sim::Task<BatchPutResponse> StagingClient::send_batch_admitted(
   const net::RetryPolicy policy = put_policy();
   int rounds = 0;
   while (!chunks.empty()) {
-    BatchPutResponse resp = co_await send_batch(ctx, server, chunks);
+    BatchPut req;
+    req.chunks = chunks;
+    BatchPutResponse resp = co_await send(ctx, server, std::move(req));
     std::vector<Chunk> rejected;
     std::vector<std::size_t> rejected_slots;
     for (std::size_t i = 0; i < chunks.size(); ++i) {
@@ -123,129 +110,99 @@ sim::Task<BatchPutResponse> StagingClient::send_batch_admitted(
   co_return merged;
 }
 
-sim::Task<GetResponse> StagingClient::send_get(sim::Ctx ctx, int server,
-                                               ObjectDesc desc) {
-  fail_if_degraded(server);
-  GetRequest req;
-  req.app = params_.app;
-  req.desc = std::move(desc);
-  req.logged = params_.logged;
-  req.tenant = params_.tenant;
-  try {
-    co_return co_await rpc_.call(ctx, server_endpoint(server), std::move(req),
-                                 get_policy());
-  } catch (const std::runtime_error&) {
-    fail_if_degraded(server);
-    throw;
-  }
-}
-
 sim::Task<PutResult> StagingClient::put_impl(sim::Ctx ctx, std::string var,
                                              Version version, Box region) {
   // Namespace before any placement or send: servers, logs, GC watermarks
   // and spill indices all key on the tenant-qualified name. Identity for
   // the default tenant.
   var = tenant_key(params_.tenant, var);
-  if (elastic()) {
-    co_return co_await put_elastic(ctx, std::move(var), version, region);
-  }
   const sim::TimePoint start = ctx.now();
   ++puts_issued_;
   PutResult result;
+  ensure_view();
 
-  if (params_.batching) {
-    // Coalesce: all chunks bound for the same server travel as one
-    // BatchPut, paying the fabric's per-message overhead once.
-    std::vector<std::pair<int, std::vector<Chunk>>> groups;
-    for (const dht::Placement& placement : index_->place(region)) {
-      auto group = groups.end();
-      for (auto it = groups.begin(); it != groups.end(); ++it) {
-        if (it->first == placement.server) {
-          group = it;
-          break;
+  std::vector<Box> todo{region};
+  int rounds = 0;
+  while (!todo.empty()) {
+    if (++rounds > kMaxEpochRounds) {
+      throw std::runtime_error(
+          "staging put: membership refresh retries exhausted");
+    }
+    // Group the outstanding boxes' pieces per server, in first-placed
+    // order: on the first round that is place()'s ascending server order.
+    std::vector<dht::Placement> groups;
+    std::unordered_map<int, std::size_t> group_of;
+    for (const Box& box : todo) {
+      for (dht::Placement& placement : index_->place(box, view_)) {
+        const auto [it, fresh] =
+            group_of.try_emplace(placement.server, groups.size());
+        if (fresh) {
+          groups.push_back(std::move(placement));
+          continue;
         }
-      }
-      if (group == groups.end()) {
-        groups.emplace_back(placement.server, std::vector<Chunk>{});
-        group = groups.end() - 1;
-      }
-      for (const Box& piece : placement.pieces) {
-        Chunk chunk = make_chunk(var, version, piece, params_.bytes_per_point,
-                                 params_.mem_scale);
-        result.nominal_bytes += chunk.nominal_bytes;
-        ++result.pieces;
-        group->second.push_back(std::move(chunk));
+        dht::Placement& group = groups[it->second];
+        group.pieces.insert(group.pieces.end(), placement.pieces.begin(),
+                            placement.pieces.end());
       }
     }
-    std::vector<sim::Task<BatchPutResponse>> sends;
-    for (auto& [server, chunks] : groups) {
-      ++result.messages;
-      sends.push_back(
-          send_batch_admitted(ctx, server, std::move(chunks), &result));
-    }
-    auto responses = co_await sim::when_all(ctx, std::move(sends));
-    for (const BatchPutResponse& batch : responses) {
-      for (const PutResponse& r : batch.results) {
-        if (r.suppressed) ++result.suppressed;
-      }
-    }
-    result.response_time = ctx.now() - start;
-    co_return result;
-  }
+    todo.clear();
 
-  std::vector<sim::Task<PutResponse>> sends;
-  for (const dht::Placement& placement : index_->place(region)) {
-    for (const Box& piece : placement.pieces) {
+    // One ack per piece, in group order. Batching sends each group as one
+    // BatchPut; otherwise every chunk is its own PutRequest.
+    std::vector<std::uint64_t> nominal;  // per piece, in ack order
+    const auto chunk_of = [&](const Box& piece) {
       Chunk chunk = make_chunk(var, version, piece, params_.bytes_per_point,
                                params_.mem_scale);
-      result.nominal_bytes += chunk.nominal_bytes;
-      ++result.pieces;
-      ++result.messages;
-      sends.push_back(send_put(ctx, placement.server, std::move(chunk)));
-    }
-  }
-  auto responses = co_await sim::when_all(ctx, std::move(sends));
-  for (const PutResponse& r : responses) {
-    if (r.suppressed) ++result.suppressed;
-  }
-  result.response_time = ctx.now() - start;
-  co_return result;
-}
-
-sim::Task<GetResult> StagingClient::get_impl(sim::Ctx ctx, std::string var,
-                                             Version version, Box region) {
-  var = tenant_key(params_.tenant, var);
-  if (elastic()) {
-    co_return co_await get_elastic(ctx, std::move(var), version, region);
-  }
-  const sim::TimePoint start = ctx.now();
-  ++gets_issued_;
-  GetResult result;
-
-  std::vector<sim::Task<GetResponse>> sends;
-  for (const dht::Placement& placement : index_->place(region)) {
-    for (const Box& piece : placement.pieces) {
-      ObjectDesc desc{var, version, piece};
-      sends.push_back(send_get(ctx, placement.server, std::move(desc)));
-    }
-  }
-  auto responses = co_await sim::when_all(ctx, std::move(sends));
-  for (GetResponse& r : responses) {
-    result.any_from_log |= r.from_log;
-    for (Chunk& piece : r.pieces) {
-      result.nominal_bytes += piece.nominal_bytes;
-      switch (check_chunk(piece, var, version)) {
-        case ChunkCheck::kOk:
-          break;
-        case ChunkCheck::kWrongVersion:
-          ++result.wrong_version;
-          break;
-        case ChunkCheck::kCorrupt:
-          ++result.corrupt;
-          break;
+      nominal.push_back(chunk.nominal_bytes);
+      return chunk;
+    };
+    std::vector<PutResponse> acks;
+    if (params_.batching) {
+      std::vector<sim::Task<BatchPutResponse>> sends;
+      for (const dht::Placement& group : groups) {
+        std::vector<Chunk> chunks;
+        for (const Box& piece : group.pieces) chunks.push_back(chunk_of(piece));
+        ++result.messages;
+        sends.push_back(send_batch_admitted(ctx, group.server,
+                                            std::move(chunks), &result));
       }
-      result.pieces.push_back(std::move(piece));
+      auto batches = co_await sim::when_all(ctx, std::move(sends));
+      for (BatchPutResponse& batch : batches) {
+        acks.insert(acks.end(), batch.results.begin(), batch.results.end());
+      }
+    } else {
+      std::vector<sim::Task<PutResponse>> sends;
+      for (const dht::Placement& group : groups) {
+        for (const Box& piece : group.pieces) {
+          ++result.messages;
+          PutRequest req;
+          req.chunk = chunk_of(piece);
+          sends.push_back(send(ctx, group.server, std::move(req)));
+        }
+      }
+      acks = co_await sim::when_all(ctx, std::move(sends));
     }
+
+    bool refresh = false;
+    std::size_t i = 0;
+    for (const dht::Placement& group : groups) {
+      for (const Box& piece : group.pieces) {
+        const PutResponse& ack = acks[i];
+        if (ack.wrong_epoch) {
+          // The cell moved under us: re-place just this piece against the
+          // refreshed view. Admitted siblings stay admitted.
+          todo.push_back(piece);
+          ++result.wrong_epoch_retries;
+          refresh = true;
+        } else {
+          result.nominal_bytes += nominal[i];
+          ++result.pieces;
+          if (ack.suppressed) ++result.suppressed;
+        }
+        ++i;
+      }
+    }
+    if (refresh) co_await refresh_view(ctx);
   }
   result.response_time = ctx.now() - start;
   co_return result;
@@ -342,14 +299,11 @@ void StagingClient::ensure_view() {
 }
 
 std::vector<int> StagingClient::fanout_targets() const {
-  // In elastic mode workflow events follow the live active set: retired
-  // standbys are drained and joiners must see checkpoints so their GC
-  // watermarks advance. Otherwise: every server, in index order (the
-  // pre-elastic broadcast, byte-identical traffic).
-  if (elastic()) return index_->active_servers();
-  std::vector<int> all(servers_.size());
-  std::iota(all.begin(), all.end(), 0);
-  return all;
+  // Workflow events follow the live active set: retired standbys are
+  // drained and joiners must see checkpoints so their GC watermarks
+  // advance. A copy: degraded_fetch awaits inside its loop, and a
+  // membership change replaces the index's list.
+  return index_->active_servers();
 }
 
 sim::Task<void> StagingClient::refresh_view(sim::Ctx ctx) {
@@ -367,103 +321,11 @@ sim::Task<void> StagingClient::refresh_view(sim::Ctx ctx) {
   (void)info;
 }
 
-sim::Task<PutResult> StagingClient::put_elastic(sim::Ctx ctx, std::string var,
-                                               Version version, Box region) {
-  const sim::TimePoint start = ctx.now();
-  ++puts_issued_;
-  PutResult result;
-  ensure_view();
-
-  std::vector<Box> todo{region};
-  int rounds = 0;
-  while (!todo.empty()) {
-    if (++rounds > kMaxEpochRounds) {
-      throw std::runtime_error(
-          "staging put: membership refresh retries exhausted");
-    }
-    // Place the outstanding boxes through the cached view, grouped per
-    // server so the batching path coalesces exactly as the static one.
-    std::vector<int> servers;
-    std::vector<std::vector<Box>> boxes;
-    std::vector<std::vector<std::uint64_t>> nominals;
-    std::vector<std::vector<Chunk>> chunks;
-    for (const Box& box : todo) {
-      for (const dht::Placement& placement : index_->place(box, view_)) {
-        std::size_t g = 0;
-        while (g < servers.size() && servers[g] != placement.server) ++g;
-        if (g == servers.size()) {
-          servers.push_back(placement.server);
-          boxes.emplace_back();
-          nominals.emplace_back();
-          chunks.emplace_back();
-        }
-        for (const Box& piece : placement.pieces) {
-          Chunk chunk = make_chunk(var, version, piece,
-                                   params_.bytes_per_point, params_.mem_scale);
-          boxes[g].push_back(piece);
-          nominals[g].push_back(chunk.nominal_bytes);
-          chunks[g].push_back(std::move(chunk));
-        }
-      }
-    }
-    todo.clear();
-
-    std::vector<BatchPutResponse> responses;
-    if (params_.batching) {
-      std::vector<sim::Task<BatchPutResponse>> sends;
-      for (std::size_t g = 0; g < servers.size(); ++g) {
-        ++result.messages;
-        sends.push_back(
-            send_batch_admitted(ctx, servers[g], std::move(chunks[g]),
-                                &result));
-      }
-      responses = co_await sim::when_all(ctx, std::move(sends));
-    } else {
-      std::vector<sim::Task<PutResponse>> sends;
-      for (std::size_t g = 0; g < servers.size(); ++g) {
-        for (Chunk& chunk : chunks[g]) {
-          ++result.messages;
-          sends.push_back(send_put(ctx, servers[g], std::move(chunk)));
-        }
-      }
-      auto flat = co_await sim::when_all(ctx, std::move(sends));
-      responses.resize(servers.size());
-      std::size_t i = 0;
-      for (std::size_t g = 0; g < servers.size(); ++g) {
-        for (std::size_t j = 0; j < boxes[g].size(); ++j) {
-          responses[g].results.push_back(flat[i++]);
-        }
-      }
-    }
-
-    bool refresh = false;
-    for (std::size_t g = 0; g < servers.size(); ++g) {
-      for (std::size_t j = 0; j < responses[g].results.size(); ++j) {
-        const PutResponse& r = responses[g].results[j];
-        if (r.wrong_epoch) {
-          // The cell moved under us: re-place just this piece against the
-          // refreshed view. Admitted siblings stay admitted.
-          todo.push_back(boxes[g][j]);
-          ++result.wrong_epoch_retries;
-          refresh = true;
-          continue;
-        }
-        result.nominal_bytes += nominals[g][j];
-        ++result.pieces;
-        if (r.suppressed) ++result.suppressed;
-      }
-    }
-    if (refresh) co_await refresh_view(ctx);
-  }
-  result.response_time = ctx.now() - start;
-  co_return result;
-}
-
 sim::Task<StagingClient::PieceOutcome> StagingClient::get_piece_guarded(
-    sim::Ctx ctx, int server, ObjectDesc desc) {
+    int server, sim::Task<GetResponse> get) {
   PieceOutcome out;
   try {
-    out.resp = co_await send_get(ctx, server, std::move(desc));
+    out.resp = co_await std::move(get);
     if (out.resp.wrong_epoch) out.status = PieceOutcome::Status::kWrongEpoch;
   } catch (const DataLossError&) {
     throw;
@@ -513,8 +375,9 @@ sim::Task<std::vector<Chunk>> StagingClient::degraded_fetch(sim::Ctx ctx,
   co_return std::move(rec.pieces);
 }
 
-sim::Task<GetResult> StagingClient::get_elastic(sim::Ctx ctx, std::string var,
-                                               Version version, Box region) {
+sim::Task<GetResult> StagingClient::get_impl(sim::Ctx ctx, std::string var,
+                                             Version version, Box region) {
+  var = tenant_key(params_.tenant, var);
   const sim::TimePoint start = ctx.now();
   ++gets_issued_;
   GetResult result;
@@ -556,8 +419,10 @@ sim::Task<GetResult> StagingClient::get_elastic(sim::Ctx ctx, std::string var,
 
     std::vector<sim::Task<PieceOutcome>> sends;
     for (std::size_t i = 0; i < targets.size(); ++i) {
-      ObjectDesc desc{var, version, pieces[i]};
-      sends.push_back(get_piece_guarded(ctx, targets[i], std::move(desc)));
+      GetRequest req;
+      req.desc = ObjectDesc{var, version, pieces[i]};
+      sends.push_back(get_piece_guarded(
+          targets[i], send(ctx, targets[i], std::move(req))));
     }
     auto outcomes = co_await sim::when_all(ctx, std::move(sends));
 

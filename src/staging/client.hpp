@@ -1,9 +1,11 @@
 // Staging client: the application-side half of the Global User Interface
 // (Table 1 of the paper). Geometric puts/gets are sharded across servers by
-// the spatial DHT and issued in parallel; workflow_check()/workflow_restart()
-// broadcast checkpoint and recovery events to every server. All traffic
-// flows through the typed net::Rpc transport, which owns the
-// timeout/retry/backoff loop.
+// the spatial DHT through a cached membership view and issued in parallel;
+// workflow_check()/workflow_restart() broadcast checkpoint and recovery
+// events to every active server. There is one request path: a fixed staging
+// group is a group whose view never leaves epoch 0. All traffic flows
+// through the typed net::Rpc transport, which owns the timeout/retry/backoff
+// loop.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +66,7 @@ struct PutResult {
   /// admitted, so a partially admitted batch is never acked as durable.
   std::size_t backpressure_resends = 0;
   /// Pieces bounced with wrong_epoch and re-placed against a refreshed
-  /// membership view (elastic mode only).
+  /// membership view (always 0 while the view stays at epoch 0).
   std::size_t wrong_epoch_retries = 0;
 };
 
@@ -84,7 +86,7 @@ struct GetResult {
   int wrong_version = 0;  // Fig.-2 anomaly: stale/newer version observed
   int corrupt = 0;
   bool any_from_log = false;
-  /// Pieces re-placed after a wrong_epoch bounce (elastic mode only).
+  /// Pieces re-placed after a wrong_epoch bounce (always 0 at epoch 0).
   std::size_t wrong_epoch_retries = 0;
   /// Pieces served by reconstructing redundancy fragments off surviving
   /// peers because the owner was down or mid-resilver.
@@ -166,12 +168,12 @@ class StagingClient {
     degraded_probe_ = std::move(probe);
   }
 
-  /// Elastic membership: point the client at the GroupManager's endpoint.
-  /// Non-negative enables elastic mode — placements route through a cached
-  /// membership view, and a typed wrong_epoch reject triggers a
-  /// MembershipQuery refresh plus re-placement of only the bounced pieces.
+  /// Point the client at the GroupManager's endpoint. Placements always
+  /// route through a cached membership view, and a typed wrong_epoch reject
+  /// re-places only the bounced pieces after a view refresh. With an
+  /// endpoint set the refresh is a MembershipQuery round-trip; without one
+  /// (a fixed group) it re-reads the index directly.
   void set_group_endpoint(net::EndpointId ep) { group_ep_ = ep; }
-  [[nodiscard]] bool elastic() const { return group_ep_ >= 0; }
 
   /// The group's resilience policy, needed to reconstruct degraded reads
   /// from redundancy fragments (replica pick or RS decode).
@@ -179,8 +181,8 @@ class StagingClient {
     policy_ = policy;
   }
   /// Enable fragment-reconstruction reads when a fragment owner is down or
-  /// mid-resilver (requires a redundancy policy and elastic mode). A read
-  /// whose losses exceed the policy's tolerance throws DataLossError.
+  /// mid-resilver (requires a redundancy policy). A read whose losses
+  /// exceed the policy's tolerance throws DataLossError.
   void set_degraded_reads(bool on) { degraded_reads_ = on; }
 
   [[nodiscard]] std::uint64_t degraded_read_count() const {
@@ -208,44 +210,43 @@ class StagingClient {
     return {params_.get_timeout, params_.max_retries, params_.retry_backoff};
   }
 
+  // The request paths: placement through the cached view, bounded
+  // wrong_epoch refresh/re-place loops, and (for gets) the degraded
+  // fragment-reconstruction fallback.
   sim::Task<PutResult> put_impl(sim::Ctx ctx, std::string var,
                                 Version version, Box region);
   sim::Task<QueryResult> query_impl(sim::Ctx ctx, std::string var);
   sim::Task<GetResult> get_impl(sim::Ctx ctx, std::string var,
                                 Version version, Box region);
-  sim::Task<PutResponse> send_put(sim::Ctx ctx, int server, Chunk chunk);
-  sim::Task<BatchPutResponse> send_batch(sim::Ctx ctx, int server,
-                                         std::vector<Chunk> chunks);
-  /// send_batch plus the backpressure protocol: chunks the server bounced
+  /// One data request (PutRequest, BatchPut or GetRequest) to one server,
+  /// stamped with this client's app/logged/tenant. Fails fast with the
+  /// degraded error when the probe reports `server` unrecovered, and
+  /// re-probes when retries run out.
+  template <class Req>
+  sim::Task<typename Req::Response> send(sim::Ctx ctx, int server, Req req);
+  /// A BatchPut plus the backpressure protocol: chunks the server bounced
   /// with RetryLater are re-sent (alone) after an escalating backoff until
   /// every piece is admitted. Returns the merged per-chunk results in the
   /// original chunk order.
   sim::Task<BatchPutResponse> send_batch_admitted(sim::Ctx ctx, int server,
                                                   std::vector<Chunk> chunks,
                                                   PutResult* result);
-  sim::Task<GetResponse> send_get(sim::Ctx ctx, int server,
-                                  ObjectDesc desc);
   /// Throws the distinct degraded error when the probe reports `server`
   /// unrecovered; otherwise returns.
   void fail_if_degraded(int server) const;
 
-  // Elastic-mode request paths: placement through the cached view, bounded
-  // wrong_epoch refresh/re-place loops, and (for gets) the degraded
-  // fragment-reconstruction fallback.
-  sim::Task<PutResult> put_elastic(sim::Ctx ctx, std::string var,
-                                   Version version, Box region);
-  sim::Task<GetResult> get_elastic(sim::Ctx ctx, std::string var,
-                                   Version version, Box region);
-  /// One get attempt that converts the two recoverable outcomes into data
-  /// instead of exceptions: kWrongEpoch (re-place) and kDegraded
-  /// (reconstruct from fragments).
+  /// Await one get attempt (`get`, a send to `server`), converting the two
+  /// recoverable outcomes into data instead of exceptions: kWrongEpoch
+  /// (re-place) and kDegraded (reconstruct from fragments). Taking the
+  /// send task rather than the request keeps this frame small; a read
+  /// fans out into one per piece.
   struct PieceOutcome {
     enum class Status { kOk, kWrongEpoch, kDegraded };
     Status status = Status::kOk;
     GetResponse resp;
   };
-  sim::Task<PieceOutcome> get_piece_guarded(sim::Ctx ctx, int server,
-                                            ObjectDesc desc);
+  sim::Task<PieceOutcome> get_piece_guarded(int server,
+                                            sim::Task<GetResponse> get);
   /// Degraded read: broadcast FragmentFetch to the surviving peers of
   /// `owner`, reconstruct `piece`, and pay the decode cost.
   sim::Task<std::vector<Chunk>> degraded_fetch(sim::Ctx ctx, int owner,
@@ -255,8 +256,7 @@ class StagingClient {
   /// the placement map.
   sim::Task<void> refresh_view(sim::Ctx ctx);
   void ensure_view();
-  /// Broadcast targets for workflow events: the active membership view in
-  /// elastic mode, every server otherwise.
+  /// Broadcast targets for workflow events: the active membership view.
   [[nodiscard]] std::vector<int> fanout_targets() const;
 
   cluster::Cluster* cluster_;
@@ -268,7 +268,8 @@ class StagingClient {
   std::function<bool(int)> degraded_probe_;
   std::uint64_t puts_issued_ = 0;
   std::uint64_t gets_issued_ = 0;
-  // Elastic membership state (inert unless set_group_endpoint is called).
+  // Membership state. The view is snapshotted on first use; group_ep_ < 0
+  // means there is no GroupManager to query on refresh.
   net::EndpointId group_ep_ = -1;
   dht::PlacementView view_;
   resilience::ResiliencePolicy policy_;

@@ -849,8 +849,11 @@ sim::Task<void> StagingServer::push_fragments(Chunk chunk, bool logged) {
   // Fragment placement round-robins over the *active* membership view, so
   // joins widen the fan-out and retiring servers stop receiving new
   // fragments. With every peer active this reduces to the old
-  // index-arithmetic placement exactly.
-  const int group = static_cast<int>(view().size());
+  // index-arithmetic placement exactly. The push keeps the view it started
+  // with: a membership update while it awaits replaces active_view_, and
+  // group/self_pos index this one.
+  const std::shared_ptr<const std::vector<int>> members = active_view_;
+  const int group = static_cast<int>(members->size());
   const int self_pos = active_pos();
   if (group < 2 || self_pos < 0) co_return;
   sim::Ctx c = ctx();
@@ -883,7 +886,7 @@ sim::Task<void> StagingServer::push_fragments(Chunk chunk, bool logged) {
       -> sim::Task<void> {
     // Round-robin over the *other* active servers only: a fragment stored
     // on its own owner would die with it.
-    const auto peer = static_cast<std::size_t>(view()[
+    const auto peer = static_cast<std::size_t>((*members)[
         static_cast<std::size_t>((self_pos + 1 + (frag_index - 1) %
                                                      (group - 1)) %
                                  group)]);

@@ -84,5 +84,35 @@ TEST(CampaignTest, SkipReplaySabotageFailsAndShrinks) {
   EXPECT_TRUE(small_repro);
 }
 
+// A reference run that deadlocks (two tenants under a 512 MB budget cannot
+// finish) is the verdict of every schedule sharing that configuration: an
+// invariant-4 violation, computed once, while other configurations in the
+// same cache still run clean.
+TEST(CampaignTest, FailedReferenceRunIsAVerdictNotAnAbort) {
+  const Schedule stuck = Schedule::parse(
+      "cc1;id=1;sch=un;ts=12;sp=3;ap=3;lp=0;res=0;mtbf=0;mb=512;tenants=2");
+  ReferenceCache cache;
+  const OracleReport report = check_schedule(stuck, cache);
+  ASSERT_EQ(report.violations.size(), 1u) << report.summary();
+  EXPECT_EQ(report.violations[0].invariant, 4);
+  EXPECT_NE(report.violations[0].detail.find(
+                "reference run did not terminate"),
+            std::string::npos)
+      << report.violations[0].detail;
+
+  // Same configuration, different id: same cached verdict, no re-run.
+  Schedule sibling = stuck;
+  sibling.id = 2;
+  const auto entry = cache.reference_for(stuck);
+  EXPECT_EQ(cache.reference_for(sibling), entry);
+  EXPECT_FALSE(entry->failure.empty());
+  EXPECT_EQ(check_schedule(sibling, cache).summary(), report.summary());
+
+  Schedule roomy = stuck;
+  roomy.memory_budget_mb = 1024;
+  const OracleReport ok = check_schedule(roomy, cache);
+  EXPECT_TRUE(ok.ok()) << ok.summary();
+}
+
 }  // namespace
 }  // namespace dstage::check

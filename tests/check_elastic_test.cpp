@@ -90,6 +90,19 @@ TEST(CheckElasticTest, GrowShrinkScenarioPassesAllInvariants) {
   EXPECT_GT(report.resilver_drops, 0u);
 }
 
+TEST(CheckElasticTest, FragmentPushAcrossAViewChangeStaysInBounds) {
+  // RS fragment pushes await between shards. A join or retire landing in
+  // between must not re-index the push into the new, differently sized
+  // view: that read runs past the end of the vector, which only a
+  // sanitizer build reports (the asan-ubsan CI job runs this test).
+  const Schedule s = Schedule::parse(
+      "cc1;id=12;sch=co;ts=12;sp=2;ap=4;lp=0;res=2;mtbf=0;elastic=j2,r6");
+  ReferenceCache cache;
+  const OracleReport report = check_schedule(s, cache);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(report.membership_epoch, 2u);
+}
+
 TEST(CheckElasticTest, ElasticCampaignPassesWithDataInMotion) {
   CampaignOptions opts;
   opts.gen.count = 10;

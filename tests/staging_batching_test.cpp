@@ -1,10 +1,15 @@
 // Opt-in request coalescing (net::Config::batching): the client's DHT
 // shard fan-out aggregates same-destination chunk puts into one BatchPut
 // per server. Off by default; with it on, the same data lands with fewer
-// fabric messages and identical read results.
+// fabric messages and identical read results. Every run is also repeated
+// with the client pointed at a GroupManager whose membership never leaves
+// epoch 0: a fixed group is the elastic request path at epoch 0, so the
+// two must be indistinguishable on the wire and on the servers.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -13,6 +18,7 @@
 #include "dht/spatial_index.hpp"
 #include "sim/spawn.hpp"
 #include "staging/client.hpp"
+#include "staging/group.hpp"
 #include "staging/server.hpp"
 
 namespace dstage::staging {
@@ -26,6 +32,7 @@ struct Rig {
   dht::SpatialIndex index;
   std::vector<cluster::VprocId> server_vprocs;
   std::vector<std::unique_ptr<StagingServer>> servers;
+  std::unique_ptr<GroupManager> group;
 
   explicit Rig(int nservers) : index(domain, nservers, 8) {
     ServerParams sp;
@@ -44,9 +51,18 @@ struct Rig {
       servers[s]->set_peers(static_cast<int>(s), endpoints);
       servers[s]->start();
     }
+    // Built in every run so both variants share one topology; only
+    // clients given the endpoint ever talk to it.
+    std::vector<StagingServer*> raw;
+    for (auto& server : servers) raw.push_back(server.get());
+    group = std::make_unique<GroupManager>(
+        cluster, cluster.add_vproc("group-mgr", cluster.add_node()), index,
+        std::move(raw));
+    group->start();
   }
 
-  std::unique_ptr<StagingClient> make_client(AppId app, bool batching) {
+  std::unique_ptr<StagingClient> make_client(AppId app, bool batching,
+                                             bool group_endpoint) {
     auto vp =
         cluster.add_vproc("app" + std::to_string(app), cluster.add_node());
     ClientParams cp;
@@ -54,24 +70,32 @@ struct Rig {
     cp.logged = true;
     cp.mem_scale = 4096;
     cp.batching = batching;
-    return std::make_unique<StagingClient>(cluster, index, server_vprocs,
-                                           vp, cp);
+    auto client = std::make_unique<StagingClient>(cluster, index,
+                                                  server_vprocs, vp, cp);
+    if (group_endpoint) client->set_group_endpoint(group->endpoint());
+    return client;
   }
 };
 
 struct PutOutcome {
   PutResult put;
   GetResult get;
+  std::uint64_t chk_id = 0;
+  QueryResult query;
   std::uint64_t fabric_packets = 0;
   std::uint64_t fabric_bytes = 0;
+  std::uint64_t total_packets = 0;
+  std::uint64_t total_bytes = 0;
+  sim::TimePoint end{};
   std::uint64_t server_puts = 0;
   std::uint64_t batch_puts = 0;
+  std::vector<ServerStats> server_stats;
 };
 
-PutOutcome run_one(bool batching) {
+PutOutcome run_one(bool batching, bool group_endpoint = false) {
   Rig rig(4);
-  auto producer = rig.make_client(0, batching);
-  auto consumer = rig.make_client(1, /*batching=*/false);
+  auto producer = rig.make_client(0, batching, group_endpoint);
+  auto consumer = rig.make_client(1, /*batching=*/false, group_endpoint);
   PutOutcome out;
   sim::spawn(rig.eng, [&]() -> sim::Task<void> {
     sim::Ctx ctx{&rig.eng, nullptr};
@@ -79,11 +103,18 @@ PutOutcome run_one(bool batching) {
     out.fabric_packets = rig.fabric.packets_sent();
     out.fabric_bytes = rig.fabric.bytes_sent();
     out.get = co_await consumer->get(ctx, "f", 1, rig.domain);
+    // Group-wide fan-outs: checkpoint broadcast and metadata query.
+    out.chk_id = co_await producer->workflow_check(ctx, 1);
+    out.query = co_await consumer->query(ctx, "f");
   });
   rig.eng.run();
+  out.total_packets = rig.fabric.packets_sent();
+  out.total_bytes = rig.fabric.bytes_sent();
+  out.end = rig.eng.now();
   for (const auto& s : rig.servers) {
     out.server_puts += s->stats().puts;
     out.batch_puts += s->stats().batch_puts;
+    out.server_stats.push_back(s->stats());
   }
   return out;
 }
@@ -114,6 +145,66 @@ TEST(StagingBatchingTest, CoalescesShardFanOutIntoOneMessagePerServer) {
   EXPECT_EQ(on.get.wrong_version, 0);
   EXPECT_EQ(on.get.corrupt, 0);
 }
+
+// Same four servers, same client traffic: once with no group endpoint,
+// once through a GroupManager whose view stays at epoch 0.
+class EpochZeroEquivalenceTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(EpochZeroEquivalenceTest, GroupEndpointAtEpochZeroIsInvisible) {
+  const bool batching = GetParam();
+  const PutOutcome fixed = run_one(batching, /*group_endpoint=*/false);
+  const PutOutcome group = run_one(batching, /*group_endpoint=*/true);
+
+  EXPECT_EQ(group.put.response_time, fixed.put.response_time);
+  EXPECT_EQ(group.put.nominal_bytes, fixed.put.nominal_bytes);
+  EXPECT_EQ(group.put.pieces, fixed.put.pieces);
+  EXPECT_EQ(group.put.suppressed, fixed.put.suppressed);
+  EXPECT_EQ(group.put.messages, fixed.put.messages);
+  EXPECT_EQ(group.put.backpressure_resends, fixed.put.backpressure_resends);
+  EXPECT_EQ(group.put.wrong_epoch_retries, 0u);
+  EXPECT_EQ(fixed.put.wrong_epoch_retries, 0u);
+
+  EXPECT_EQ(group.get.response_time, fixed.get.response_time);
+  EXPECT_EQ(group.get.nominal_bytes, fixed.get.nominal_bytes);
+  EXPECT_EQ(group.get.wrong_version, fixed.get.wrong_version);
+  EXPECT_EQ(group.get.corrupt, fixed.get.corrupt);
+  EXPECT_EQ(group.get.any_from_log, fixed.get.any_from_log);
+  EXPECT_EQ(group.get.wrong_epoch_retries, 0u);
+  EXPECT_EQ(fixed.get.wrong_epoch_retries, 0u);
+  EXPECT_EQ(group.get.degraded_pieces, fixed.get.degraded_pieces);
+  ASSERT_EQ(group.get.pieces.size(), fixed.get.pieces.size());
+  for (std::size_t i = 0; i < fixed.get.pieces.size(); ++i) {
+    EXPECT_EQ(group.get.pieces[i].region, fixed.get.pieces[i].region);
+    EXPECT_EQ(group.get.pieces[i].content_key,
+              fixed.get.pieces[i].content_key);
+  }
+
+  EXPECT_EQ(group.chk_id, fixed.chk_id);
+  EXPECT_EQ(group.query.available, fixed.query.available);
+  EXPECT_EQ(group.query.fully_logged, fixed.query.fully_logged);
+
+  EXPECT_EQ(group.fabric_packets, fixed.fabric_packets);
+  EXPECT_EQ(group.fabric_bytes, fixed.fabric_bytes);
+  EXPECT_EQ(group.total_packets, fixed.total_packets);
+  EXPECT_EQ(group.total_bytes, fixed.total_bytes);
+  EXPECT_EQ(group.end, fixed.end);
+
+  // ServerStats is all counters, so equal bytes mean equal stats.
+  static_assert(std::has_unique_object_representations_v<ServerStats>);
+  ASSERT_EQ(group.server_stats.size(), fixed.server_stats.size());
+  for (std::size_t s = 0; s < fixed.server_stats.size(); ++s) {
+    EXPECT_EQ(std::memcmp(&group.server_stats[s], &fixed.server_stats[s],
+                          sizeof(ServerStats)),
+              0)
+        << "server " << s;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Batching, EpochZeroEquivalenceTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "On" : "Off";
+                         });
 
 TEST(StagingBatchingTest, WorkflowRunsCleanWithBatchingOn) {
   core::WorkflowSpec spec =
