@@ -18,8 +18,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/pfs.hpp"
 #include "net/rpc.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/track.hpp"
 
 namespace dstage::ckpt {
 
@@ -58,16 +57,8 @@ class DrainAgent {
   void set_on_complete(std::function<void(int app, int ts)> on_complete) {
     on_complete_ = std::move(on_complete);
   }
-  /// Attach the run's observability bundle (null = off).
-  void set_obs(obs::Observability* obs, std::string track) {
-    obs_ = obs;
-    obs_track_ = std::move(track);
-  }
-  /// Attach the always-on flight recorder (null = off).
-  void set_recorder(obs::FlightRecorder* recorder, std::uint32_t track) {
-    recorder_ = recorder;
-    recorder_track_ = track;
-  }
+  /// Attach the run's instrumentation (spans, metrics, flight recorder).
+  void set_track(obs::Track track) { track_ = std::move(track); }
 
  private:
   sim::Task<void> run();
@@ -86,10 +77,7 @@ class DrainAgent {
   std::function<void(int, int)> on_complete_;
   bool draining_ = false;
   DrainAgentStats stats_;
-  obs::Observability* obs_ = nullptr;
-  std::string obs_track_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t recorder_track_ = 0;
+  obs::Track track_;
 };
 
 }  // namespace dstage::ckpt

@@ -95,10 +95,7 @@ sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
   const WorkflowSpec& spec = runtime_->spec();
   Trace& trace = runtime_->trace();
   sim::Ctx ctx = runtime_->cluster().ctx_for(comp->vproc);
-  obs::Observability* obs = services_.obs;
-  obs::FlightRecorder* rec = services_.recorder;
-  const std::uint32_t rec_track =
-      rec != nullptr ? rec->track(comp->spec.name) : 0;
+  const obs::Track& track = comp->track;
   for (int ts = start_ts + 1; ts <= spec.total_ts; ++ts) {
     trace.record(ctx.now(), TraceKind::kTimestepStart, comp->spec.name, ts);
     fire_elastic_events(ts);
@@ -106,13 +103,10 @@ sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
 
     // Reads first (consumers pull the coupled data for this timestep).
     obs::SpanId read_span = 0;
-    if (obs != nullptr) {
-      for (const auto& read : comp->spec.reads) {
-        if (ts % read.every == 0) {
-          read_span = obs->tracer().begin(comp->spec.name, "read",
-                                          obs::Phase::kRead, ctx.now(), 0, ts);
-          break;
-        }
+    for (const auto& read : comp->spec.reads) {
+      if (ts % read.every == 0) {
+        read_span = track.begin("read", obs::Phase::kRead, ctx.now(), 0, ts);
+        break;
       }
     }
     for (const auto& read : comp->spec.reads) {
@@ -124,20 +118,14 @@ sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
       comp->metrics.cum_get_response_s += result.response_time.seconds();
       comp->metrics.wrong_version_reads += result.wrong_version;
       comp->metrics.corrupt_reads += result.corrupt;
-      if (obs != nullptr) {
-        obs->metrics()
-            .histogram("get_response_s", comp->spec.name)
-            .observe(result.response_time.seconds());
-      }
-      if (rec != nullptr || services_.read_probe) {
+      track.observe("get_response_s", result.response_time.seconds());
+      if (track.recording() || services_.read_probe) {
         const std::uint64_t checksum = pieces_checksum(result.pieces);
-        if (rec != nullptr) {
-          // The order-independent payload fingerprint is the forensic
-          // anchor for replay-equivalence diffs: a replayed read that
-          // serves different bytes than the reference run diverges here.
-          rec->record(rec_track, ctx.now(), obs::FrKind::kGetServe, read.var,
-                      ts, static_cast<std::int64_t>(checksum));
-        }
+        // The order-independent payload fingerprint is the forensic anchor
+        // for replay-equivalence diffs: a replayed read that serves
+        // different bytes than the reference run diverges here.
+        track.record(ctx.now(), obs::FrKind::kGetServe, read.var, ts,
+                     static_cast<std::int64_t>(checksum));
         if (services_.read_probe) {
           services_.read_probe(*comp, ts, read.var, checksum,
                                result.nominal_bytes, result.wrong_version,
@@ -147,21 +135,17 @@ sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
       trace.record(ctx.now(), TraceKind::kReadDone, comp->spec.name, ts,
                    static_cast<std::int64_t>(result.nominal_bytes));
     }
-    if (obs != nullptr) obs->tracer().end(read_span, ctx.now());
+    track.end(read_span, ctx.now());
 
-    obs::SpanId compute_span = 0;
-    if (obs != nullptr) {
-      compute_span = obs->tracer().begin(comp->spec.name, "compute",
-                                         obs::Phase::kCompute, ctx.now(), 0, ts);
-    }
+    const obs::SpanId compute_span =
+        track.begin("compute", obs::Phase::kCompute, ctx.now(), 0, ts);
     co_await ctx.delay(sim::from_seconds(comp->spec.compute_per_ts_s));
-    if (obs != nullptr) obs->tracer().end(compute_span, ctx.now());
+    track.end(compute_span, ctx.now());
     trace.record(ctx.now(), TraceKind::kComputeDone, comp->spec.name, ts);
 
     obs::SpanId write_span = 0;
-    if (obs != nullptr && !comp->spec.writes.empty()) {
-      write_span = obs->tracer().begin(comp->spec.name, "write",
-                                       obs::Phase::kWrite, ctx.now(), 0, ts);
+    if (!comp->spec.writes.empty()) {
+      write_span = track.begin("write", obs::Phase::kWrite, ctx.now(), 0, ts);
     }
     for (const auto& write : comp->spec.writes) {
       auto result = co_await comp->client->put(
@@ -171,15 +155,11 @@ sim::Task<void> WorkflowRunner::run_component(Comp* comp, int start_ts) {
       comp->metrics.cum_put_response_s += result.response_time.seconds();
       comp->metrics.put_bytes += result.nominal_bytes;
       comp->metrics.suppressed_puts += result.suppressed;
-      if (obs != nullptr) {
-        obs->metrics()
-            .histogram("put_response_s", comp->spec.name)
-            .observe(result.response_time.seconds());
-      }
+      track.observe("put_response_s", result.response_time.seconds());
       trace.record(ctx.now(), TraceKind::kWriteDone, comp->spec.name, ts,
                    static_cast<std::int64_t>(result.nominal_bytes));
     }
-    if (obs != nullptr) obs->tracer().end(write_span, ctx.now());
+    track.end(write_span, ctx.now());
 
     comp->current_ts = ts;
     ++comp->metrics.timesteps_done;
@@ -196,14 +176,12 @@ sim::Task<void> WorkflowRunner::run_component_recovered(Comp* comp) {
   sim::Ctx ctx = runtime_->cluster().ctx_for(comp->vproc);
   const bool replay = policy_->replay_on_restart(comp->spec);
   co_await stage_reattach_and_replay(services_, *comp, replay, ctx);
-  if (services_.obs != nullptr) {
-    // The recovery root opened at the failure instant closes once the
-    // component is back in its timestep loop.
-    services_.obs->tracer().end(comp->obs_recovery_span, ctx.now());
-    comp->obs_recovery_span = 0;
-    comp->obs_detect_span = 0;
-    services_.obs->metrics().counter("recoveries", comp->spec.name).inc();
-  }
+  // The recovery root opened at the failure instant closes once the
+  // component is back in its timestep loop.
+  comp->track.end(comp->obs_recovery_span, ctx.now());
+  comp->obs_recovery_span = 0;
+  comp->obs_detect_span = 0;
+  comp->track.count("recoveries");
   co_await run_component(comp, comp->last_ckpt_ts);
 }
 
@@ -219,13 +197,8 @@ sim::Task<void> WorkflowRunner::maybe_fail(Comp* comp, int ts, sim::Ctx ctx) {
     if (f.phase < 0) continue;  // false alarm: no failure follows
     ++failures_injected_;
     // Die partway into this timestep's work.
-    obs::SpanId partial = 0;
-    if (services_.obs != nullptr) {
-      partial = services_.obs->tracer().begin(comp->spec.name,
-                                              "compute (interrupted)",
-                                              obs::Phase::kCompute, ctx.now(),
-                                              0, ts);
-    }
+    const obs::SpanId partial = comp->track.begin(
+        "compute (interrupted)", obs::Phase::kCompute, ctx.now(), 0, ts);
     co_await ctx.delay(
         sim::from_seconds(f.phase * comp->spec.compute_per_ts_s));
     if (f.node_level) {
@@ -237,14 +210,12 @@ sim::Task<void> WorkflowRunner::maybe_fail(Comp* comp, int ts, sim::Ctx ctx) {
         const std::uint64_t double_losses_before =
             services_.ckpt->stats().double_losses;
         services_.ckpt->on_node_failure(comp->id);
-        if (services_.recorder != nullptr &&
-            services_.ckpt->stats().double_losses > double_losses_before) {
+        if (services_.ckpt->stats().double_losses > double_losses_before) {
           // Double XOR loss: some cached set is now unrestorable at any
           // level below the PFS — loud enough to warrant a forensic dump.
-          services_.recorder->note_degradation(
-              services_.recorder->track(comp->spec.name), ctx.now(),
-              "double XOR loss: checkpoint set(s) of " + comp->spec.name +
-                  " unrestorable below the PFS");
+          comp->track.note_degradation(
+              ctx.now(), "double XOR loss: checkpoint set(s) of " +
+                             comp->spec.name + " unrestorable below the PFS");
         }
         comp->last_ckpt_ts = services_.ckpt->best_restart_ts(
             comp->id, comp->last_pfs_ckpt_ts);
@@ -252,29 +223,20 @@ sim::Task<void> WorkflowRunner::maybe_fail(Comp* comp, int ts, sim::Ctx ctx) {
         comp->last_ckpt_ts = comp->last_pfs_ckpt_ts;
       }
     }
-    if (services_.recorder != nullptr) {
-      services_.recorder->record(services_.recorder->track(comp->spec.name),
-                                 ctx.now(), obs::FrKind::kFailure,
-                                 std::uint32_t{0}, ts, f.node_level ? 1 : 0);
-    }
+    comp->track.record(ctx.now(), obs::FrKind::kFailure, {}, ts,
+                       f.node_level ? 1 : 0);
     runtime_->trace().record(ctx.now(), TraceKind::kFailure, comp->spec.name,
                              ts, f.node_level ? 1 : 0);
-    if (services_.obs != nullptr) {
-      obs::SpanTracer& tracer = services_.obs->tracer();
-      tracer.end(partial, ctx.now());
-      tracer.instant(comp->spec.name, "failure", ctx.now(),
-                     f.node_level ? 1 : 0);
-      // Root of this recovery's causal tree; the detect child covers the
-      // failure-detection window and is closed by the recovery path that
-      // eventually picks the component up.
-      comp->obs_recovery_span =
-          tracer.begin(comp->spec.name, "recovery", obs::Phase::kRestart,
-                       ctx.now(), 0, ts);
-      comp->obs_detect_span =
-          tracer.begin(comp->spec.name, "detect", obs::Phase::kRestart,
-                       ctx.now(), comp->obs_recovery_span);
-      services_.obs->metrics().counter("failures", comp->spec.name).inc();
-    }
+    comp->track.end(partial, ctx.now());
+    comp->track.instant("failure", ctx.now(), f.node_level ? 1 : 0);
+    // Root of this recovery's causal tree; the detect child covers the
+    // failure-detection window and is closed by the recovery path that
+    // eventually picks the component up.
+    comp->obs_recovery_span = comp->track.begin(
+        "recovery", obs::Phase::kRestart, ctx.now(), 0, ts);
+    comp->obs_detect_span = comp->track.begin(
+        "detect", obs::Phase::kRestart, ctx.now(), comp->obs_recovery_span);
+    comp->track.count("failures");
     runtime_->cluster().kill(comp->vproc);
     co_await ctx.delay({0});  // the cancelled token unwinds here
   }

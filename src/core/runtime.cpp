@@ -12,6 +12,22 @@
 
 namespace dstage::core {
 
+namespace {
+
+TraceKind milestone_kind(staging::StagingServer::Milestone m) {
+  switch (m) {
+    case staging::StagingServer::Milestone::kGcSweep:
+      return TraceKind::kGcSweep;
+    case staging::StagingServer::Milestone::kGcWatermarkAdvance:
+      return TraceKind::kGcWatermarkAdvance;
+    case staging::StagingServer::Milestone::kLogTruncate:
+      break;
+  }
+  return TraceKind::kLogTruncate;
+}
+
+}  // namespace
+
 int RuntimeServices::total_app_cores() const {
   return runtime->total_app_cores();
 }
@@ -91,6 +107,15 @@ void Runtime::build(const SchemePolicy& policy) {
   server_params.log_codec = spec_.wlog.codec;
   const int total_servers =
       spec_.staging_servers + spec_.elastic.standby_servers;
+  // GC/log milestones become trace records only in instrumented runs:
+  // those kinds would move the golden digests of uninstrumented traces.
+  // Their flight-recorder events and metrics are the servers' own.
+  const staging::StagingServer::MilestoneHook milestone_hook =
+      [this](staging::StagingServer::Milestone m, const std::string& subject,
+             staging::Version a, std::int64_t b) {
+        trace_.record(engine_.now(), milestone_kind(m), subject,
+                      static_cast<int>(a), b);
+      };
   for (int s = 0; s < total_servers; ++s) {
     const auto node = cluster_.add_node();
     const std::string name = "staging-" + std::to_string(s);
@@ -98,99 +123,8 @@ void Runtime::build(const SchemePolicy& policy) {
     server_vprocs_.push_back(vp);
     servers_.push_back(
         std::make_unique<staging::StagingServer>(cluster_, vp, server_params));
-    {
-      staging::StagingServer& server = *servers_.back();
-      if (obs_ != nullptr) server.set_obs(obs_.get(), name);
-      if (recorder_ != nullptr) {
-        server.set_recorder(recorder_.get(), recorder_->track(name));
-      }
-      // GC/log milestone hooks are installed unconditionally: they feed the
-      // always-on flight recorder, and their host-side work (snapshotting
-      // watermarks before a checkpoint) consumes no virtual time. Trace
-      // records and metrics inside them stay obs-gated — those kinds only
-      // exist in instrumented runs, so the golden digests of
-      // uninstrumented traces are untouched.
-      obs::FlightRecorder* rec = recorder_.get();
-      const std::uint32_t rec_track =
-          rec != nullptr ? rec->track(name) : 0;
-      obs::Observability* obs = obs_.get();
-      staging::StagingServer::ObsHooks hooks;
-      hooks.gc_sweep = [this, rec, rec_track, obs, name](
-                           staging::Version ckpt_version,
-                           std::size_t versions_dropped,
-                           std::uint64_t nominal_freed,
-                           std::size_t entries_scanned) {
-        if (rec != nullptr) {
-          rec->record(rec_track, engine_.now(), obs::FrKind::kGcSweep,
-                      std::uint32_t{0},
-                      static_cast<std::int64_t>(entries_scanned),
-                      static_cast<std::int64_t>(nominal_freed));
-        }
-        if (obs != nullptr) {
-          trace_.record(engine_.now(), TraceKind::kGcSweep, name,
-                        static_cast<int>(ckpt_version),
-                        static_cast<std::int64_t>(nominal_freed));
-          obs->metrics().counter("gc.sweeps", name).inc();
-          obs->metrics()
-              .counter("gc.entries_scanned", name)
-              .inc(entries_scanned);
-        }
-        (void)versions_dropped;  // counted at the sweep site
-      };
-      hooks.gc_watermark_advance = [this, rec, rec_track, obs, name](
-                                       const std::string& var,
-                                       staging::Version from,
-                                       staging::Version to) {
-        if (rec != nullptr) {
-          rec->record(rec_track, engine_.now(), obs::FrKind::kGcWatermark,
-                      var, static_cast<std::int64_t>(to));
-        }
-        if (obs != nullptr) {
-          trace_.record(engine_.now(), TraceKind::kGcWatermarkAdvance,
-                        name + "/" + var, static_cast<int>(from),
-                        static_cast<std::int64_t>(to));
-          obs->metrics().counter("gc.watermark_advances", name).inc();
-        }
-      };
-      hooks.log_truncate = [this, rec, rec_track, obs, name](
-                               staging::AppId app,
-                               staging::Version ckpt_version,
-                               std::size_t events_dropped) {
-        if (rec != nullptr) {
-          rec->record(rec_track, engine_.now(), obs::FrKind::kLogTruncate,
-                      std::uint32_t{0},
-                      static_cast<std::int64_t>(events_dropped));
-        }
-        if (obs != nullptr) {
-          trace_.record(engine_.now(), TraceKind::kLogTruncate, name,
-                        static_cast<int>(ckpt_version),
-                        static_cast<std::int64_t>(events_dropped));
-          obs->metrics()
-              .counter("wlog.events_truncated", name)
-              .inc(events_dropped);
-        }
-        (void)app;
-      };
-      hooks.spill = [this, rec, rec_track](const std::string& var,
-                                           staging::Version version,
-                                           std::uint64_t bytes) {
-        if (rec != nullptr) {
-          rec->record(rec_track, engine_.now(), obs::FrKind::kSpillOut, var,
-                      static_cast<std::int64_t>(version),
-                      static_cast<std::int64_t>(bytes));
-        }
-      };
-      hooks.spill_fetch = [this, rec, rec_track](const std::string& var,
-                                                 staging::Version version,
-                                                 std::uint64_t bytes) {
-        if (rec != nullptr) {
-          rec->record(rec_track, engine_.now(), obs::FrKind::kSpillFetch, var,
-                      static_cast<std::int64_t>(version),
-                      static_cast<std::int64_t>(bytes));
-        }
-      };
-      server.set_obs_hooks(std::move(hooks));
-    }
+    servers_.back()->set_track(obs::Track(obs_.get(), recorder_.get(), name));
+    if (obs_ != nullptr) servers_.back()->set_milestone_hook(milestone_hook);
   }
 
   {
@@ -254,11 +188,8 @@ void Runtime::build(const SchemePolicy& policy) {
     spill_vproc_ = cluster_.add_vproc("spill-gw", node);
     spill_gateway_ =
         std::make_unique<staging::SpillGateway>(cluster_, spill_vproc_, pfs_);
-    if (obs_ != nullptr) spill_gateway_->set_obs(obs_.get(), "spill-gw");
-    if (recorder_ != nullptr) {
-      spill_gateway_->set_recorder(recorder_.get(),
-                                   recorder_->track("spill-gw"));
-    }
+    spill_gateway_->set_track(
+        obs::Track(obs_.get(), recorder_.get(), "spill-gw"));
     const auto ep = cluster_.vproc(spill_vproc_).endpoint;
     for (auto& server : servers_) server->set_spill_endpoint(ep);
   }
@@ -274,11 +205,8 @@ void Runtime::build(const SchemePolicy& policy) {
     for (auto& server : servers_) group_servers.push_back(server.get());
     group_manager_ = std::make_unique<staging::GroupManager>(
         cluster_, group_vproc_, *index_, std::move(group_servers));
-    if (obs_ != nullptr) group_manager_->set_obs(obs_.get(), "group-mgr");
-    if (recorder_ != nullptr) {
-      group_manager_->set_recorder(recorder_.get(),
-                                   recorder_->track("group-mgr"));
-    }
+    group_manager_->set_track(
+        obs::Track(obs_.get(), recorder_.get(), "group-mgr"));
     for (auto& server : servers_) {
       server->set_group_index(index_.get());
       server->apply_membership(index_->epoch(), index_->active_servers());
@@ -333,11 +261,8 @@ void Runtime::build(const SchemePolicy& policy) {
       trace_.record(engine_.now(), TraceKind::kCkptDrainDone, comp->spec.name,
                     ts, ts);
     });
-    if (obs_ != nullptr) drain_agent_->set_obs(obs_.get(), "ckpt-drain");
-    if (recorder_ != nullptr) {
-      drain_agent_->set_recorder(recorder_.get(),
-                                 recorder_->track("ckpt-drain"));
-    }
+    drain_agent_->set_track(
+        obs::Track(obs_.get(), recorder_.get(), "ckpt-drain"));
   }
 
   // Variable registry for GC retention: consumers pin retention only when
@@ -378,6 +303,14 @@ void Runtime::build(const SchemePolicy& policy) {
       tenant_barriers_.push_back(
           std::make_unique<sim::Barrier>(engine_, members));
     }
+  }
+
+  // Component tracks are interned last, in component order — the order
+  // their first flight-recorder events used to intern them in. Dumps
+  // resolve ring ids to names and merge by sequence number, so the order
+  // is not load-bearing, but keeping it keeps ring ids stable too.
+  for (auto& comp : comps_) {
+    comp->track = obs::Track(obs_.get(), recorder_.get(), comp->spec.name);
   }
 
   plan_failures();
@@ -488,8 +421,7 @@ RuntimeServices Runtime::services() {
   rt.sys_token = &sys_token_;
   rt.trace = &trace_;
   rt.runtime = this;
-  rt.obs = obs_.get();
-  rt.recorder = recorder_.get();
+  rt.workflow = obs::Track(obs_.get(), nullptr, "workflow");
   rt.ckpt = ckpt_hierarchy_.get();
   if (drain_agent_ != nullptr) rt.ckpt_drain_ep = drain_agent_->endpoint();
   return rt;

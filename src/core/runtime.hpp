@@ -22,8 +22,7 @@
 #include "core/workflow.hpp"
 #include "dht/spatial_index.hpp"
 #include "net/fabric.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/track.hpp"
 #include "sim/engine.hpp"
 #include "sim/event.hpp"
 #include "staging/client.hpp"
@@ -50,8 +49,9 @@ struct Comp {
   bool done = false;
   bool recovering = false;
   ComponentMetrics metrics;
-  // Open observability spans (0 = none); raw ids so this header stays
-  // decoupled from the tracer's lifetime.
+  /// Spans, metrics and flight-recorder events on the component's track.
+  obs::Track track;
+  // Open spans on that track (0 = none).
   obs::SpanId obs_recovery_span = 0;  // root span of the in-flight recovery
   obs::SpanId obs_detect_span = 0;    // its "detect" child
 };
@@ -88,12 +88,10 @@ struct RuntimeServices {
   sim::CancelToken* sys_token = nullptr;
   Trace* trace = nullptr;
   Runtime* runtime = nullptr;
-  /// Observability bundle; null when disabled (the common case), so every
-  /// instrumentation site is a single pointer test.
-  obs::Observability* obs = nullptr;
-  /// Always-on flight recorder; null only when RecorderConfig::enabled is
-  /// explicitly cleared. Sites pay one pointer test, exactly like obs.
-  obs::FlightRecorder* recorder = nullptr;
+  /// The whole-workflow span track ("workflow"): coordinated-restart
+  /// stages and the workflow-level recovery counter. Component activity
+  /// goes on each Comp::track instead.
+  obs::Track workflow;
   /// Multi-level checkpoint hierarchy; null unless
   /// spec.ckpt.hierarchy_enabled(). Schemes route checkpoints through it
   /// and the recovery pipeline restores from the fastest complete level.

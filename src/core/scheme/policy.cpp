@@ -28,11 +28,8 @@ sim::Task<void> SchemePolicy::emergency_checkpoint(RuntimeServices& rt,
     co_return;
   }
   const sim::TimePoint stall_start = ctx.now();
-  obs::SpanId span = 0;
-  if (rt.obs != nullptr) {
-    span = rt.obs->tracer().begin(comp.spec.name, "emergency checkpoint",
-                                  obs::Phase::kCheckpoint, ctx.now(), 0, ts);
-  }
+  const obs::SpanId span = comp.track.begin(
+      "emergency checkpoint", obs::Phase::kCheckpoint, ctx.now(), 0, ts);
   co_await ctx.delay(sim::from_seconds(
       static_cast<double>(rt.spec->costs.state_bytes(comp.spec.cores)) /
       rt.spec->costs.local_ckpt_bw));
@@ -50,10 +47,8 @@ sim::Task<void> SchemePolicy::emergency_checkpoint(RuntimeServices& rt,
   comp.metrics.ckpt_stall_s += (ctx.now() - stall_start).seconds();
   rt.trace->record(ctx.now(), TraceKind::kProactiveCheckpoint, comp.spec.name,
                    ts);
-  if (rt.obs != nullptr) {
-    rt.obs->tracer().end(span, ctx.now());
-    rt.obs->metrics().counter("proactive_checkpoints", comp.spec.name).inc();
-  }
+  comp.track.end(span, ctx.now());
+  comp.track.count("proactive_checkpoints");
 }
 
 sim::Task<void> SchemePolicy::hierarchy_checkpoint(RuntimeServices& rt,
@@ -61,14 +56,9 @@ sim::Task<void> SchemePolicy::hierarchy_checkpoint(RuntimeServices& rt,
                                                    sim::Ctx ctx,
                                                    bool emergency) {
   const sim::TimePoint stall_start = ctx.now();
-  obs::SpanId span = 0;
-  if (rt.obs != nullptr) {
-    span = rt.obs->tracer().begin(comp.spec.name,
-                                  emergency
-                                      ? "emergency checkpoint (hierarchy)"
-                                      : "checkpoint (hierarchy)",
-                                  obs::Phase::kCheckpoint, ctx.now(), 0, ts);
-  }
+  const obs::SpanId span = comp.track.begin(
+      emergency ? "emergency checkpoint (hierarchy)" : "checkpoint (hierarchy)",
+      obs::Phase::kCheckpoint, ctx.now(), 0, ts);
   const std::uint64_t bytes = rt.spec->costs.state_bytes(comp.spec.cores);
   // Level 0: node-local cache write — the only synchronous I/O the
   // component pays. PFS durability is the drain agent's job.
@@ -99,12 +89,8 @@ sim::Task<void> SchemePolicy::hierarchy_checkpoint(RuntimeServices& rt,
                      ts);
   }
   comp.metrics.ckpt_stall_s += (ctx.now() - stall_start).seconds();
-  if (rt.obs != nullptr) {
-    rt.obs->tracer().end(span, ctx.now());
-    rt.obs->metrics()
-        .counter("ckpt.hierarchy_writes", comp.spec.name)
-        .inc();
-  }
+  comp.track.end(span, ctx.now());
+  comp.track.count("ckpt.hierarchy_writes");
 }
 
 void SchemePolicy::recover_local(RuntimeServices& rt, Comp& comp) {

@@ -2,8 +2,9 @@
 // WorkflowSpec; compiled_in() is the compile-time switch (CMake option
 // DSTAGE_OBS, which defines DSTAGE_OBS_OFF when disabled). With either
 // gate off the Runtime allocates no Observability object, records no
-// spans, fires no GC/log trace hooks, and every run is byte-identical —
-// trace digests included — to an uninstrumented build.
+// spans, installs no GC/log milestone trace hook on the staging servers,
+// and every run is byte-identical — trace digests included — to an
+// uninstrumented build.
 #pragma once
 
 #include <cstddef>

@@ -1,9 +1,10 @@
 // Per-run observability bundle: one MetricsRegistry plus one SpanTracer,
-// owned by the Runtime and handed to every layer through RuntimeServices
-// (or, for the staging servers, a set_obs() call at assembly time). The
-// object only exists when ObsConfig::enabled is set on a build with
-// observability compiled in; a null pointer is the disabled state, so the
-// hot path pays a single pointer test.
+// owned by the Runtime. The object only exists when ObsConfig::enabled is
+// set on a build with observability compiled in; a null pointer is the
+// disabled state. Instrumented layers never hold it directly: each gets an
+// obs::Track (obs/track.hpp) at assembly time — set_track() on the staging
+// servers, spill gateway, group manager and drain agent, Comp::track for
+// components — whose methods are no-ops when the pointer is null.
 #pragma once
 
 #include "obs/config.hpp"

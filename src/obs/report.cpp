@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <numeric>
 #include <ostream>
+#include <string_view>
+#include <unordered_map>
 
 namespace dstage::obs {
 
@@ -134,17 +136,20 @@ std::int64_t TrackBreakdown::attributed_ns() const {
 }
 
 Breakdown phase_breakdown(const SpanTracer& tracer) {
+  // One pass buckets spans by track in first-appearance order (the order
+  // tracks() reports; instant-only tracks have nothing to attribute).
+  std::unordered_map<std::string_view, std::size_t> bucket_of;
+  std::vector<std::vector<const Span*>> buckets;
   Breakdown out;
-  for (const std::string& track : tracer.tracks()) {
-    std::vector<const Span*> spans;
-    for (const Span& s : tracer.spans()) {
-      if (s.track == track) spans.push_back(&s);
-    }
-    if (spans.empty()) continue;
-    out.tracks.push_back(breakdown_track(track, spans));
-  }
   for (const Span& s : tracer.spans()) {
+    const auto [it, fresh] = bucket_of.try_emplace(s.track, buckets.size());
+    if (fresh) buckets.emplace_back();
+    buckets[it->second].push_back(&s);
     out.span_horizon_ns = std::max(out.span_horizon_ns, s.end.ns);
+  }
+  out.tracks.reserve(buckets.size());
+  for (const std::vector<const Span*>& spans : buckets) {
+    out.tracks.push_back(breakdown_track(spans.front()->track, spans));
   }
   return out;
 }

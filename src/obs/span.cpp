@@ -1,6 +1,8 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 namespace dstage::obs {
@@ -102,8 +104,9 @@ std::size_t SpanTracer::open_count() const {
 
 std::vector<std::string> SpanTracer::tracks() const {
   std::vector<std::string> out;
-  auto add = [&out](const std::string& t) {
-    if (std::find(out.begin(), out.end(), t) == out.end()) out.push_back(t);
+  std::unordered_set<std::string_view> seen;
+  auto add = [&](const std::string& t) {
+    if (seen.insert(t).second) out.push_back(t);
   };
   for (const Span& s : spans_) add(s.track);
   for (const Instant& i : instants_) add(i.track);

@@ -13,8 +13,7 @@
 #include "cluster/cluster.hpp"
 #include "dht/spatial_index.hpp"
 #include "net/rpc.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/track.hpp"
 #include "staging/server.hpp"
 #include "staging/types.hpp"
 
@@ -49,17 +48,8 @@ class GroupManager {
   /// targets this window).
   [[nodiscard]] bool resilver_active() const { return resilver_active_; }
 
-  /// Attach the run's observability bundle (null = off).
-  void set_obs(obs::Observability* obs, std::string track) {
-    obs_ = obs;
-    obs_track_ = std::move(track);
-  }
-
-  /// Attach the always-on flight recorder (null = off).
-  void set_recorder(obs::FlightRecorder* recorder, std::uint32_t track) {
-    recorder_ = recorder;
-    recorder_track_ = track;
-  }
+  /// Attach the run's instrumentation (spans, metrics, flight recorder).
+  void set_track(obs::Track track) { track_ = std::move(track); }
 
  private:
   sim::Task<void> run();
@@ -86,10 +76,7 @@ class GroupManager {
   net::Rpc rpc_;
   GroupManagerStats stats_;
   bool resilver_active_ = false;
-  obs::Observability* obs_ = nullptr;
-  std::string obs_track_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t recorder_track_ = 0;
+  obs::Track track_;
 };
 
 }  // namespace dstage::staging

@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/track.hpp"
 #include "staging/server.hpp"
 
 namespace dstage::staging {
@@ -66,18 +65,10 @@ class StagingRecoveryManager {
   void set_on_degraded(std::function<void(int)> cb) {
     on_degraded_ = std::move(cb);
   }
-  /// Attach the run's observability bundle (null = off) for the
-  /// degraded-mode metric/event.
-  void set_obs(obs::Observability* obs, std::string track) {
-    obs_ = obs;
-    obs_track_ = std::move(track);
-  }
-  /// Attach the always-on flight recorder (null = off): spare-pool
-  /// exhaustion is a loud degradation that triggers a forensic dump.
-  void set_recorder(obs::FlightRecorder* recorder, std::uint32_t track) {
-    recorder_ = recorder;
-    recorder_track_ = track;
-  }
+  /// Attach the run's instrumentation for the degraded-mode metric and
+  /// flight-recorder event: spare-pool exhaustion is a loud degradation
+  /// that triggers a forensic dump.
+  void set_track(obs::Track track) { track_ = std::move(track); }
   /// Spill-gateway endpoint replacement servers should be wired to
   /// (memory-governed runs only; -1 = none).
   void set_spill_endpoint(net::EndpointId ep) { spill_endpoint_ = ep; }
@@ -106,10 +97,7 @@ class StagingRecoveryManager {
   /// Indexes running degraded (failed, spare pool empty, unrecovered).
   std::set<int> degraded_;
   std::function<void(int)> on_degraded_;
-  obs::Observability* obs_ = nullptr;
-  std::string obs_track_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t recorder_track_ = 0;
+  obs::Track track_;
   net::EndpointId spill_endpoint_ = -1;
 };
 

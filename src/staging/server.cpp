@@ -59,11 +59,9 @@ void StagingServer::sample_memory() {
   last_sample_ = now;
   last_total_ = memory().total();
   peak_total_ = std::max(peak_total_, last_total_);
-  if (obs_ != nullptr && governor_.enabled()) {
+  if (track_.observing() && governor_.enabled()) {
     // Gauges merge by max, so the final registry reports peak pressure.
-    obs_->metrics()
-        .gauge("governor.pressure", obs_track_)
-        .set(governor_.pressure(memory().governed()));
+    track_.gauge("governor.pressure", governor_.pressure(memory().governed()));
   }
 }
 
@@ -134,12 +132,9 @@ sim::Task<void> StagingServer::run() {
 }
 
 sim::Task<void> StagingServer::handle(Request request) {
-  if (obs_ != nullptr) {
-    current_request_span_ = obs_->tracer().begin(
-        obs_track_, net::message_name(request), obs::Phase::kOther,
-        cluster_->engine().now());
-    obs_->metrics().counter("staging.requests", obs_track_).inc();
-  }
+  current_request_span_ = track_.begin(
+      net::message_name(request), obs::Phase::kOther, cluster_->engine().now());
+  track_.count("staging.requests");
   co_await std::visit(
       Overloaded{
           [this](PutRequest&& m) { return handle_put(std::move(m)); },
@@ -189,10 +184,8 @@ sim::Task<void> StagingServer::handle(Request request) {
           },
       },
       std::move(request));
-  if (obs_ != nullptr) {
-    obs_->tracer().end(current_request_span_, cluster_->engine().now());
-    current_request_span_ = 0;
-  }
+  track_.end(current_request_span_, cluster_->engine().now());
+  current_request_span_ = 0;
 }
 
 sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
@@ -207,13 +200,10 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
   // refreshes its view and re-places against the current epoch.
   if (not_owner(chunk.region)) {
     ++stats_.wrong_epoch_rejects;
-    if (obs_ != nullptr)
-      obs_->metrics().counter("elastic.wrong_epoch", obs_track_).inc();
-    if (recorder_ != nullptr)
-      recorder_->record(recorder_track_, cluster_->engine().now(),
-                        obs::FrKind::kPutBounce, chunk.var,
-                        static_cast<std::int64_t>(chunk.version),
-                        static_cast<std::int64_t>(group_index_->epoch()));
+    track_.count("elastic.wrong_epoch");
+    track_.record(cluster_->engine().now(), obs::FrKind::kPutBounce, chunk.var,
+                  static_cast<std::int64_t>(chunk.version),
+                  static_cast<std::int64_t>(group_index_->epoch()));
     resp.wrong_epoch = true;
     resp.epoch = group_index_->epoch();
     co_return resp;
@@ -262,18 +252,14 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
         break;
       case MemoryGovernor::Admission::kAdmitOverrun:
         ++stats_.governor_overruns;
-        if (obs_ != nullptr)
-          obs_->metrics().counter("governor.overruns", obs_track_).inc();
+        track_.count("governor.overruns");
         break;
       case MemoryGovernor::Admission::kReject:
         ++stats_.puts_rejected;
-        if (obs_ != nullptr)
-          obs_->metrics().counter("governor.puts_rejected", obs_track_).inc();
-        if (recorder_ != nullptr)
-          recorder_->record(recorder_track_, cluster_->engine().now(),
-                            obs::FrKind::kPutReject, chunk.var,
-                            static_cast<std::int64_t>(chunk.version),
-                            static_cast<std::int64_t>(chunk.nominal_bytes));
+        track_.count("governor.puts_rejected");
+        track_.record(cluster_->engine().now(), obs::FrKind::kPutReject,
+                      chunk.var, static_cast<std::int64_t>(chunk.version),
+                      static_cast<std::int64_t>(chunk.nominal_bytes));
         resp.applied = false;
         resp.retry_later = true;
         poke_governor();  // make sure relief is under way before the retry
@@ -290,21 +276,15 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
           break;
         case MemoryGovernor::Admission::kAdmitOverrun:
           ++stats_.governor_overruns;
-          if (obs_ != nullptr)
-            obs_->metrics().counter("governor.overruns", obs_track_).inc();
+          track_.count("governor.overruns");
           break;
         case MemoryGovernor::Admission::kReject:
           ++stats_.puts_rejected;
           ++stats_.fair_share_rejects;
-          if (obs_ != nullptr)
-            obs_->metrics()
-                .counter("governor.fair_share_rejects", obs_track_)
-                .inc();
-          if (recorder_ != nullptr)
-            recorder_->record(recorder_track_, cluster_->engine().now(),
-                              obs::FrKind::kPutReject, chunk.var,
-                              static_cast<std::int64_t>(chunk.version),
-                              static_cast<std::int64_t>(chunk.nominal_bytes));
+          track_.count("governor.fair_share_rejects");
+          track_.record(cluster_->engine().now(), obs::FrKind::kPutReject,
+                        chunk.var, static_cast<std::int64_t>(chunk.version),
+                        static_cast<std::int64_t>(chunk.nominal_bytes));
           resp.applied = false;
           resp.retry_later = true;
           poke_governor();
@@ -335,11 +315,9 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
     }
     const std::string var = chunk.var;
     const Version version = chunk.version;
-    if (recorder_ != nullptr)
-      recorder_->record(recorder_track_, cluster_->engine().now(),
-                        obs::FrKind::kPutAdmit, var,
-                        static_cast<std::int64_t>(version),
-                        static_cast<std::int64_t>(chunk.nominal_bytes));
+    track_.record(cluster_->engine().now(), obs::FrKind::kPutAdmit, var,
+                  static_cast<std::int64_t>(version),
+                  static_cast<std::int64_t>(chunk.nominal_bytes));
     if (params_.policy.kind != resilience::Redundancy::kNone) {
       co_await c.delay(params_.policy.encode_time(chunk.nominal_bytes));
       const bool was_logged = params_.logging && logged;
@@ -390,13 +368,10 @@ sim::Task<void> StagingServer::handle_get(GetRequest req) {
   // rather than parking a request no local put will ever satisfy.
   if (not_owner(req.desc.region)) {
     ++stats_.wrong_epoch_rejects;
-    if (obs_ != nullptr)
-      obs_->metrics().counter("elastic.wrong_epoch", obs_track_).inc();
-    if (recorder_ != nullptr)
-      recorder_->record(recorder_track_, cluster_->engine().now(),
-                        obs::FrKind::kGetBounce, req.desc.var,
-                        static_cast<std::int64_t>(req.desc.version),
-                        static_cast<std::int64_t>(group_index_->epoch()));
+    track_.count("elastic.wrong_epoch");
+    track_.record(cluster_->engine().now(), obs::FrKind::kGetBounce,
+                  req.desc.var, static_cast<std::int64_t>(req.desc.version),
+                  static_cast<std::int64_t>(group_index_->epoch()));
     GetResponse resp;
     resp.wrong_epoch = true;
     resp.epoch = group_index_->epoch();
@@ -481,11 +456,9 @@ sim::Task<void> StagingServer::handle_get(GetRequest req) {
         store_.covers(req.desc.var, *latest, req.desc.region)) {
       // Wrong-version serve: the forensic smoking gun for the Fig.-2
       // anomaly — recorded with the version actually substituted.
-      if (recorder_ != nullptr)
-        recorder_->record(recorder_track_, cluster_->engine().now(),
-                          obs::FrKind::kGetAnomaly, req.desc.var,
-                          static_cast<std::int64_t>(req.desc.version),
-                          static_cast<std::int64_t>(*latest));
+      track_.record(cluster_->engine().now(), obs::FrKind::kGetAnomaly,
+                    req.desc.var, static_cast<std::int64_t>(req.desc.version),
+                    static_cast<std::int64_t>(*latest));
       auto pieces = store_.get(req.desc.var, *latest, req.desc.region);
       sim::spawn(cluster_->engine(),
                  respond_get(std::move(req), std::move(pieces), false));
@@ -546,21 +519,45 @@ void StagingServer::poke_pending(const std::string& var, Version version) {
   }
 }
 
+std::vector<std::pair<std::string, Version>>
+StagingServer::snapshot_watermarks(bool durable) const {
+  // Watermark diffing for the GC milestones: snapshot before a checkpoint
+  // is applied, compare after. Skipped when nothing would see an advance,
+  // so uninstrumented runs pay nothing.
+  std::vector<std::pair<std::string, Version>> marks;
+  if (!durable ||
+      !(track_.observing() || track_.recording() || milestone_hook_)) {
+    return marks;
+  }
+  for (const std::string& var : gc_.variables()) {
+    marks.emplace_back(var, gc_.watermark(var));
+  }
+  return marks;
+}
+
+void StagingServer::note_watermark_advances(
+    const std::vector<std::pair<std::string, Version>>& before) {
+  for (const auto& [var, from] : before) {
+    const Version to = gc_.watermark(var);
+    if (to <= from) continue;
+    track_.record(cluster_->engine().now(), obs::FrKind::kGcWatermark, var,
+                  static_cast<std::int64_t>(to));
+    if (milestone_hook_) {
+      milestone_hook_(Milestone::kGcWatermarkAdvance,
+                      track_.name() + "/" + var, from,
+                      static_cast<std::int64_t>(to));
+    }
+    track_.count("gc.watermark_advances");
+  }
+}
+
 sim::Task<void> StagingServer::handle_checkpoint(CheckpointEvent ev) {
   sim::Ctx c = ctx();
   co_await c.delay(params_.request_overhead);
   app_tenants_[ev.app] = ev.tenant;
   ++stats_.checkpoints;
 
-  // Watermark diffing for the observability hooks: snapshot before the
-  // checkpoint is applied, compare after. Skipped entirely when no hook is
-  // installed, so uninstrumented runs pay nothing.
-  std::vector<std::pair<std::string, Version>> pre_watermarks;
-  if (obs_hooks_.gc_watermark_advance && ev.durable) {
-    for (const std::string& var : gc_.variables()) {
-      pre_watermarks.emplace_back(var, gc_.watermark(var));
-    }
-  }
+  const auto pre_watermarks = snapshot_watermarks(ev.durable);
 
   CheckpointAck ack;
   ack.chk_id = next_chk_id_++;
@@ -569,11 +566,7 @@ sim::Task<void> StagingServer::handle_checkpoint(CheckpointEvent ev) {
   // falls back to the last durable checkpoint and must still be able to
   // replay every logged version above it.
   if (ev.durable) gc_.on_checkpoint(ev.app, ev.version);
-
-  for (const auto& [var, from] : pre_watermarks) {
-    const Version to = gc_.watermark(var);
-    if (to > from) obs_hooks_.gc_watermark_advance(var, from, to);
-  }
+  note_watermark_advances(pre_watermarks);
 
   if (params_.logging) {
     auto& q = queues_[ev.app];
@@ -586,9 +579,13 @@ sim::Task<void> StagingServer::handle_checkpoint(CheckpointEvent ev) {
     // restart from this checkpoint — but payload reclamation below only
     // runs when the watermark may actually have advanced.
     const std::size_t events_dropped = q.truncate_before_last_checkpoint();
-    if (obs_hooks_.log_truncate) {
-      obs_hooks_.log_truncate(ev.app, ev.version, events_dropped);
+    track_.record(cluster_->engine().now(), obs::FrKind::kLogTruncate, {},
+                  static_cast<std::int64_t>(events_dropped));
+    if (milestone_hook_) {
+      milestone_hook_(Milestone::kLogTruncate, track_.name(), ev.version,
+                      static_cast<std::int64_t>(events_dropped));
     }
+    track_.count("wlog.events_truncated", events_dropped);
   }
   if (params_.logging && ev.durable) {
     co_await sweep_after_durable(ev.version);
@@ -599,30 +596,26 @@ sim::Task<void> StagingServer::handle_checkpoint(CheckpointEvent ev) {
 
 sim::Task<void> StagingServer::sweep_after_durable(Version version) {
   sim::Ctx c = ctx();
-  obs::SpanId sweep_span = 0;
-  if (obs_ != nullptr) {
-    sweep_span = obs_->tracer().begin(
-        obs_track_, "gc sweep", obs::Phase::kOther,
-        cluster_->engine().now(), current_request_span_);
-  }
+  const obs::SpanId sweep_span =
+      track_.begin("gc sweep", obs::Phase::kOther, cluster_->engine().now(),
+                   current_request_span_);
   const gc::SweepResult sweep = gc_.sweep(dlog_);
   stats_.gc_versions_dropped += sweep.versions_dropped;
   stats_.gc_nominal_freed += sweep.nominal_freed;
   co_await c.delay(params_.gc_cost_per_entry *
                    static_cast<std::int64_t>(sweep.entries_scanned + 1));
-  if (obs_ != nullptr) {
-    obs_->tracer().end(sweep_span, cluster_->engine().now());
-    obs_->metrics()
-        .counter("gc.versions_dropped", obs_track_)
-        .inc(sweep.versions_dropped);
-    obs_->metrics()
-        .counter("gc.nominal_freed_bytes", obs_track_)
-        .inc(sweep.nominal_freed);
+  track_.end(sweep_span, cluster_->engine().now());
+  track_.count("gc.versions_dropped", sweep.versions_dropped);
+  track_.count("gc.nominal_freed_bytes", sweep.nominal_freed);
+  track_.record(cluster_->engine().now(), obs::FrKind::kGcSweep, {},
+                static_cast<std::int64_t>(sweep.entries_scanned),
+                static_cast<std::int64_t>(sweep.nominal_freed));
+  if (milestone_hook_) {
+    milestone_hook_(Milestone::kGcSweep, track_.name(), version,
+                    static_cast<std::int64_t>(sweep.nominal_freed));
   }
-  if (obs_hooks_.gc_sweep) {
-    obs_hooks_.gc_sweep(version, sweep.versions_dropped,
-                        sweep.nominal_freed, sweep.entries_scanned);
-  }
+  track_.count("gc.sweeps");
+  track_.count("gc.entries_scanned", sweep.entries_scanned);
   // Spilled versions the watermark has now passed are as unreachable as
   // swept log versions: retire their PFS spill files too.
   prune_spilled_upto_watermark();
@@ -657,26 +650,17 @@ sim::Task<void> StagingServer::handle_ckpt_drain_ack(CkptDrainAck ack) {
   sim::Ctx c = ctx();
   co_await c.delay(params_.request_overhead);
   ++stats_.drain_promotions;
-  if (recorder_ != nullptr)
-    recorder_->record(recorder_track_, cluster_->engine().now(),
-                      obs::FrKind::kDrainAck, std::to_string(ack.app),
-                      static_cast<std::int64_t>(ack.version));
+  track_.record(cluster_->engine().now(), obs::FrKind::kDrainAck,
+                std::to_string(ack.app),
+                static_cast<std::int64_t>(ack.version));
 
-  std::vector<std::pair<std::string, Version>> pre_watermarks;
-  if (obs_hooks_.gc_watermark_advance) {
-    for (const std::string& var : gc_.variables()) {
-      pre_watermarks.emplace_back(var, gc_.watermark(var));
-    }
-  }
+  const auto pre_watermarks = snapshot_watermarks(true);
   // The async drain completed: the cached set at `version` is durable now,
   // which is exactly what lets the GC watermark advance. No queue marker is
   // recorded here — the non-durable CheckpointEvent taken when the set was
   // cached already anchors the replay script at this timestep.
   gc_.on_checkpoint(ack.app, ack.version);
-  for (const auto& [var, from] : pre_watermarks) {
-    const Version to = gc_.watermark(var);
-    if (to > from) obs_hooks_.gc_watermark_advance(var, from, to);
-  }
+  note_watermark_advances(pre_watermarks);
   if (params_.logging) co_await sweep_after_durable(ack.version);
 }
 
@@ -875,10 +859,7 @@ sim::Task<void> StagingServer::push_fragments(Chunk chunk, bool logged) {
                    "wraps and survivability is degraded\n",
                    self_index_, params_.policy.fragments_total(), group);
     }
-    if (obs_ != nullptr)
-      obs_->metrics()
-          .counter("resilience.placement_clamped", obs_track_)
-          .inc();
+    track_.count("resilience.placement_clamped");
   }
 
   auto push_one = [&](int frag_index, std::uint64_t nominal,
@@ -1076,17 +1057,11 @@ sim::Task<void> StagingServer::handle_resilver_put(ResilverPut put) {
   co_await c.delay(params_.request_overhead);
   ++stats_.resilver_chunks_in;
   stats_.resilver_bytes_in += put.chunk.accounted_bytes();
-  if (recorder_ != nullptr)
-    recorder_->record(recorder_track_, cluster_->engine().now(),
-                      obs::FrKind::kResilverIn, put.chunk.var,
-                      static_cast<std::int64_t>(put.chunk.version),
-                      static_cast<std::int64_t>(put.chunk.nominal_bytes));
-  if (obs_ != nullptr) {
-    obs_->metrics().counter("elastic.resilver_chunks_in", obs_track_).inc();
-    obs_->metrics()
-        .counter("elastic.resilver_bytes_in", obs_track_)
-        .inc(put.chunk.nominal_bytes);
-  }
+  track_.record(cluster_->engine().now(), obs::FrKind::kResilverIn,
+                put.chunk.var, static_cast<std::int64_t>(put.chunk.version),
+                static_cast<std::int64_t>(put.chunk.nominal_bytes));
+  track_.count("elastic.resilver_chunks_in");
+  track_.count("elastic.resilver_bytes_in", put.chunk.nominal_bytes);
   co_await c.delay(copy_time(put.chunk.nominal_bytes));
   const std::string var = put.chunk.var;
   const Version version = put.chunk.version;
@@ -1136,11 +1111,8 @@ sim::Task<StagingServer::ResilverOutcome> StagingServer::resilver_out_impl(
     int dest, net::EndpointId dest_ep, std::vector<Box> regions) {
   sim::Ctx c = ctx();
   ResilverOutcome outcome;
-  obs::SpanId span = 0;
-  if (obs_ != nullptr) {
-    span = obs_->tracer().begin(obs_track_, "resilver", obs::Phase::kResilver,
-                                cluster_->engine().now());
-  }
+  const obs::SpanId span = track_.begin("resilver", obs::Phase::kResilver,
+                                        cluster_->engine().now());
 
   const auto moved = [&](const Box& region) {
     for (const Box& r : regions) {
@@ -1212,14 +1184,8 @@ sim::Task<StagingServer::ResilverOutcome> StagingServer::resilver_out_impl(
         outcome.bytes += bytes;
         ++stats_.resilver_chunks_out;
         stats_.resilver_bytes_out += bytes;
-        if (obs_ != nullptr) {
-          obs_->metrics()
-              .counter("elastic.resilver_chunks_out", obs_track_)
-              .inc();
-          obs_->metrics()
-              .counter("elastic.resilver_bytes_out", obs_track_)
-              .inc(bytes);
-        }
+        track_.count("elastic.resilver_chunks_out");
+        track_.count("elastic.resilver_bytes_out", bytes);
         // Yield to foreground traffic while the destination's governor
         // reports pressure: resilver is background work.
         if (ack.pressure > 1.0) {
@@ -1252,14 +1218,13 @@ sim::Task<StagingServer::ResilverOutcome> StagingServer::resilver_out_impl(
     }
   }
 
-  if (recorder_ != nullptr && outcome.chunks > 0)
-    recorder_->record(recorder_track_, cluster_->engine().now(),
-                      obs::FrKind::kResilverOut,
-                      "dest-" + std::to_string(dest),
-                      static_cast<std::int64_t>(outcome.chunks),
-                      static_cast<std::int64_t>(outcome.bytes));
-  if (obs_ != nullptr) obs_->tracer().end(span, cluster_->engine().now());
-  (void)dest;
+  if (outcome.chunks > 0) {
+    track_.record(cluster_->engine().now(), obs::FrKind::kResilverOut,
+                  "dest-" + std::to_string(dest),
+                  static_cast<std::int64_t>(outcome.chunks),
+                  static_cast<std::int64_t>(outcome.bytes));
+  }
+  track_.end(span, cluster_->engine().now());
   co_return outcome;
 }
 
@@ -1438,15 +1403,9 @@ sim::Task<void> StagingServer::maintain_memory() {
     stats_.gc_nominal_freed += sweep.nominal_freed;
     co_await c.delay(params_.gc_cost_per_entry *
                      static_cast<std::int64_t>(sweep.entries_scanned + 1));
-    if (obs_ != nullptr) {
-      obs_->metrics().counter("governor.urgent_sweeps", obs_track_).inc();
-      obs_->metrics()
-          .counter("gc.versions_dropped", obs_track_)
-          .inc(sweep.versions_dropped);
-      obs_->metrics()
-          .counter("gc.nominal_freed_bytes", obs_track_)
-          .inc(sweep.nominal_freed);
-    }
+    track_.count("governor.urgent_sweeps");
+    track_.count("gc.versions_dropped", sweep.versions_dropped);
+    track_.count("gc.nominal_freed_bytes", sweep.nominal_freed);
     prune_spilled_upto_watermark();
   }
 
@@ -1487,11 +1446,8 @@ sim::Task<void> StagingServer::maintain_memory() {
     // so the gateway's copy decodes without this log's base versions.
     auto chunks = dlog_.export_chunks(victim_var, victim_version);
     if (chunks.empty()) break;
-    obs::SpanId span = 0;
-    if (obs_ != nullptr) {
-      span = obs_->tracer().begin(obs_track_, "spill", obs::Phase::kSpill,
-                                  cluster_->engine().now());
-    }
+    const obs::SpanId span =
+        track_.begin("spill", obs::Phase::kSpill, cluster_->engine().now());
     std::uint64_t bytes = 0;
     for (Chunk& chunk : chunks) {
       bytes += chunk.accounted_bytes();
@@ -1500,7 +1456,7 @@ sim::Task<void> StagingServer::maintain_memory() {
       sp.chunk = std::move(chunk);
       co_await rpc_.call(c, spill_endpoint_, std::move(sp));
     }
-    if (obs_ != nullptr) obs_->tracer().end(span, cluster_->engine().now());
+    track_.end(span, cluster_->engine().now());
 
     // The gateway round-trip let the request loop run: a checkpoint-driven
     // GC sweep or a rollback may have reclaimed the victim meanwhile. The
@@ -1509,20 +1465,18 @@ sim::Task<void> StagingServer::maintain_memory() {
     // a re-added successor would lose data).
     if (!dlog_.has(victim_var, victim_version)) {
       ++stats_.spills_aborted;
-      if (obs_ != nullptr)
-        obs_->metrics().counter("governor.spills_aborted", obs_track_).inc();
+      track_.count("governor.spills_aborted");
       continue;
     }
     dlog_.drop_spilled(victim_var, victim_version);
     spilled_[victim_var][victim_version] = bytes;
     ++stats_.spill_versions;
     stats_.spill_bytes += bytes;
-    if (obs_ != nullptr) {
-      obs_->metrics().counter("governor.spill_versions", obs_track_).inc();
-      obs_->metrics().counter("governor.spill_bytes", obs_track_).inc(bytes);
-    }
-    if (obs_hooks_.spill)
-      obs_hooks_.spill(victim_var, victim_version, bytes);
+    track_.count("governor.spill_versions");
+    track_.count("governor.spill_bytes", bytes);
+    track_.record(cluster_->engine().now(), obs::FrKind::kSpillOut, victim_var,
+                  static_cast<std::int64_t>(victim_version),
+                  static_cast<std::int64_t>(bytes));
   }
   // Nothing left to sweep or spill, yet still above the hard watermark:
   // the budget is below the workload's working-set floor (base window +
@@ -1547,12 +1501,9 @@ sim::Task<void> StagingServer::ensure_log_resident(std::string var,
                                                    Version version) {
   if (spill_endpoint_ < 0 || !spill_covers(var, version)) co_return;
   sim::Ctx c = ctx();
-  obs::SpanId span = 0;
-  if (obs_ != nullptr) {
-    span = obs_->tracer().begin(obs_track_, "spill fetch", obs::Phase::kSpill,
-                                cluster_->engine().now(),
-                                current_request_span_);
-  }
+  const obs::SpanId span =
+      track_.begin("spill fetch", obs::Phase::kSpill,
+                   cluster_->engine().now(), current_request_span_);
   SpillFetch fetch;
   fetch.owner = self_index_;
   fetch.var = var;
@@ -1565,7 +1516,7 @@ sim::Task<void> StagingServer::ensure_log_resident(std::string var,
   // discarded it. Re-adding here would double-count the footprint — or
   // resurrect a rolled-back version.
   if (!spill_covers(var, version) || dlog_.has(var, version)) {
-    if (obs_ != nullptr) obs_->tracer().end(span, cluster_->engine().now());
+    track_.end(span, cluster_->engine().now());
     co_return;
   }
   std::uint64_t bytes = 0;
@@ -1580,14 +1531,12 @@ sim::Task<void> StagingServer::ensure_log_resident(std::string var,
     it->second.erase(version);
     if (it->second.empty()) spilled_.erase(it);
   }
-  if (obs_ != nullptr) {
-    obs_->tracer().end(span, cluster_->engine().now());
-    obs_->metrics().counter("governor.spill_fetches", obs_track_).inc();
-    obs_->metrics()
-        .counter("governor.spill_fetch_bytes", obs_track_)
-        .inc(bytes);
-  }
-  if (obs_hooks_.spill_fetch) obs_hooks_.spill_fetch(var, version, bytes);
+  track_.end(span, cluster_->engine().now());
+  track_.count("governor.spill_fetches");
+  track_.count("governor.spill_fetch_bytes", bytes);
+  track_.record(cluster_->engine().now(), obs::FrKind::kSpillFetch, var,
+                static_cast<std::int64_t>(version),
+                static_cast<std::int64_t>(bytes));
   poke_governor();  // the fault-in may have pushed us over the soft mark
 }
 

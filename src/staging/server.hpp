@@ -16,8 +16,7 @@
 #include "dht/spatial_index.hpp"
 #include "gc/garbage_collector.hpp"
 #include "net/rpc.hpp"
-#include "obs/flight_recorder.hpp"
-#include "obs/observability.hpp"
+#include "obs/track.hpp"
 #include "resilience/policy.hpp"
 #include "staging/memory_governor.hpp"
 #include "staging/object_store.hpp"
@@ -179,28 +178,17 @@ class StagingServer {
   /// gc::GarbageCollector::set_watermark_bias).
   void set_gc_watermark_bias(Version bias) { gc_.set_watermark_bias(bias); }
 
-  /// Observability callbacks surfacing staging-internal events (GC sweeps,
-  /// watermark advances, metadata-log truncation) to whoever owns the
-  /// workflow trace. Installed by the core Runtime when observability is
-  /// on; firing them costs no virtual time. Any member may be null.
-  struct ObsHooks {
-    std::function<void(Version ckpt_version, std::size_t versions_dropped,
-                       std::uint64_t nominal_freed,
-                       std::size_t entries_scanned)>
-        gc_sweep;
-    std::function<void(const std::string& var, Version from, Version to)>
-        gc_watermark_advance;
-    std::function<void(AppId app, Version ckpt_version,
-                       std::size_t events_dropped)>
-        log_truncate;
-    std::function<void(const std::string& var, Version version,
-                       std::uint64_t bytes)>
-        spill;
-    std::function<void(const std::string& var, Version version,
-                       std::uint64_t bytes)>
-        spill_fetch;
-  };
-  void set_obs_hooks(ObsHooks hooks) { obs_hooks_ = std::move(hooks); }
+  /// GC/log milestones surfaced into the workflow trace. Those trace kinds
+  /// only exist in instrumented runs (they would move the digests of
+  /// uninstrumented ones), so the core Runtime installs this hook only when
+  /// observability is on. `subject` is this server's track name, suffixed
+  /// with "/var" for watermark advances. Firing it costs no virtual time.
+  enum class Milestone { kGcSweep, kGcWatermarkAdvance, kLogTruncate };
+  using MilestoneHook = std::function<void(
+      Milestone, const std::string& subject, Version a, std::int64_t b)>;
+  void set_milestone_hook(MilestoneHook hook) {
+    milestone_hook_ = std::move(hook);
+  }
 
   /// Wire the memory governor to the PFS spill gateway. Without a gateway
   /// the governor still enforces admission (backpressure), but has nowhere
@@ -273,19 +261,9 @@ class StagingServer {
     return spilled_;
   }
 
-  /// Attach the run's observability bundle (null = off). `track` names
-  /// this server's span track ("staging-N").
-  void set_obs(obs::Observability* obs, std::string track) {
-    obs_ = obs;
-    obs_track_ = std::move(track);
-  }
-
-  /// Attach the always-on flight recorder (null = off). `track` is this
-  /// server's pre-interned ring id.
-  void set_recorder(obs::FlightRecorder* recorder, std::uint32_t track) {
-    recorder_ = recorder;
-    recorder_track_ = track;
-  }
+  /// Attach the run's instrumentation (spans, metrics, flight recorder) on
+  /// this server's track ("staging-N").
+  void set_track(obs::Track track) { track_ = std::move(track); }
 
   [[nodiscard]] cluster::VprocId vproc() const { return vproc_; }
   [[nodiscard]] net::EndpointId endpoint() const;
@@ -334,6 +312,13 @@ class StagingServer {
   /// reclaim fragments below the retention floor. Caller guards on
   /// params_.logging.
   sim::Task<void> sweep_after_durable(Version version);
+  /// Per-variable GC watermarks before a checkpoint is applied (empty when
+  /// the checkpoint cannot move them or nothing observes the advance).
+  [[nodiscard]] std::vector<std::pair<std::string, Version>>
+  snapshot_watermarks(bool durable) const;
+  /// Record every watermark that moved past its `before` snapshot.
+  void note_watermark_advances(
+      const std::vector<std::pair<std::string, Version>>& before);
   sim::Task<ResilverOutcome> resilver_out_impl(int dest,
                                                net::EndpointId dest_ep,
                                                std::vector<Box> regions);
@@ -447,13 +432,11 @@ class StagingServer {
   double byte_seconds_ = 0;
   sim::TimePoint last_sample_{};
   std::uint64_t last_total_ = 0;
-  // Observability (null/empty = off). Requests are handled sequentially,
-  // so one "current request" span id suffices for parenting child spans.
-  obs::Observability* obs_ = nullptr;
-  std::string obs_track_;
-  obs::FlightRecorder* recorder_ = nullptr;
-  std::uint32_t recorder_track_ = 0;
-  ObsHooks obs_hooks_;
+  // Instrumentation (disabled by default). Requests are handled
+  // sequentially, so one "current request" span id suffices for parenting
+  // child spans.
+  obs::Track track_;
+  MilestoneHook milestone_hook_;
   obs::SpanId current_request_span_ = 0;
 };
 

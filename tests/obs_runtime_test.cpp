@@ -1,10 +1,13 @@
 // End-to-end tests of the observability layer threaded through the
 // runtime: zero perturbation when enabled, staging-internal trace kinds
 // gated on ObsConfig, breakdown/critical-path reporting on a real failure
-// run, Chrome export validity, and sweep aggregation determinism.
+// run, Chrome export validity, sweep aggregation determinism, and pinned
+// digests of the whole instrumentation output on five configurations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,8 @@
 #include "core/sweep.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/report.hpp"
+#include "staging/recovery.hpp"
+#include "util/checksum.hpp"
 
 namespace dstage::core {
 namespace {
@@ -173,6 +178,150 @@ TEST(ObsRuntimeTest, ParallelSweepAggregateEqualsSerial) {
     EXPECT_EQ(runs_serial[i].obs.str(), runs_parallel[i].obs.str());
   }
 }
+
+// Equivalence pins: one FNV-1a digest per configuration over everything
+// the instrumentation emits — the full span stream, the instants, the
+// metrics snapshot, the flight-recorder dump — plus the core Trace digest.
+// Any change to where spans open or close, which track they land on, what
+// the recorder sees or in which order, moves the pin. The values were
+// captured before the instrumentation sites were collapsed onto obs::Track
+// and must never be re-pinned by a refactor.
+struct EquivalenceCase {
+  const char* name;
+  WorkflowSpec (*make)();
+  /// Kill one staging server mid-run (a StagingRecoveryManager with a
+  /// single spare rebuilds it from its peers).
+  bool kill_staging;
+  std::uint64_t digest;
+};
+
+WorkflowSpec pin_co_failures() {
+  WorkflowSpec spec = small_spec(Scheme::kCoordinated, 2, 5, true);
+  spec.failures.node_failure_fraction = 0.5;
+  return spec;
+}
+
+WorkflowSpec pin_un_extensions() {
+  WorkflowSpec spec = small_spec(Scheme::kUncoordinated, 2, 5, true);
+  spec.total_ts = 12;
+  spec.staging_servers = 2;  // 1024 MB per server then spills
+  spec.failures.node_failure_fraction = 0.5;
+  spec.ckpt.xor_group = 2;
+  spec.staging.memory_budget = std::uint64_t{1024} << 20;
+  spec.wlog.codec = wlog::codec::Scheme::kDeltaLz;
+  spec.server.policy.kind = resilience::Redundancy::kReplication;
+  for (auto& c : spec.components) c.local_ckpt_period = 2;
+  return spec;
+}
+
+WorkflowSpec pin_hy_elastic() {
+  WorkflowSpec spec = small_spec(Scheme::kHybrid, 2, 3, true);
+  spec.total_ts = 12;
+  spec.staging_servers = 3;
+  spec.elastic.standby_servers = 1;
+  spec.elastic.events = {{3, true, -1}, {8, false, -1}};
+  return spec;
+}
+
+WorkflowSpec pin_co_tenants() {
+  WorkflowSpec spec = small_spec(Scheme::kCoordinated, 2, 4, true);
+  spec.tenancy.tenants = 2;
+  spec.tenancy.fair_share = true;
+  spec.staging.memory_budget = std::uint64_t{1024} << 20;
+  return spec;
+}
+
+WorkflowSpec pin_un_extensions_recorder_only() {
+  WorkflowSpec spec = pin_un_extensions();
+  spec.obs.enabled = false;
+  return spec;
+}
+
+std::uint64_t mix(std::uint64_t h, const std::string& s) {
+  return fnv1a_str(s + "\n", h);
+}
+
+std::uint64_t instrumentation_digest(WorkflowRunner& runner) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  if (const obs::Observability* o = runner.runtime().obs()) {
+    for (const obs::Span& s : o->tracer().spans()) {
+      h = mix(h, std::to_string(s.id) + "|" + std::to_string(s.parent) + "|" +
+                     s.track + "|" + s.name + "|" +
+                     obs::phase_name(s.phase) + "|" +
+                     std::to_string(s.start.ns) + "|" +
+                     std::to_string(s.end.ns) + "|" +
+                     std::to_string(s.value) + "|" + (s.open ? "1" : "0"));
+    }
+    for (const obs::Instant& i : o->tracer().instants()) {
+      h = mix(h, i.track + "|" + i.name + "|" + std::to_string(i.at.ns) + "|" +
+                     std::to_string(i.value));
+    }
+    h = mix(h, o->metrics().to_json().str());
+  }
+  if (const obs::FlightRecorder* rec = runner.runtime().recorder()) {
+    for (const obs::FrDecoded& e : rec->dump()) {
+      h = mix(h, std::to_string(e.seq) + "|" + std::to_string(e.at_ns) + "|" +
+                     e.kind + "|" + e.track + "|" + e.detail + "|" +
+                     std::to_string(e.a) + "|" + std::to_string(e.b));
+    }
+  }
+  return mix(h, std::to_string(runner.trace().digest()));
+}
+
+class ObsEquivalenceTest : public ::testing::TestWithParam<EquivalenceCase> {};
+
+TEST_P(ObsEquivalenceTest, InstrumentationDigestIsPinned) {
+  const EquivalenceCase& c = GetParam();
+  WorkflowSpec spec = c.make();
+  if (spec.obs.enabled && !obs::compiled_in()) {
+    GTEST_SKIP() << "built with DSTAGE_OBS=OFF";
+  }
+  // Declared before the runner so it outlives the runner's teardown, whose
+  // vproc kills it observes (the single spare is spent by then, so they
+  // only mark servers degraded).
+  std::unique_ptr<staging::StagingRecoveryManager> manager;
+  WorkflowRunner runner(std::move(spec));
+  Runtime& rt = runner.runtime();
+  if (c.kill_staging) {
+    std::vector<cluster::VprocId> vprocs;
+    for (int s = 0; s < rt.server_count(); ++s)
+      vprocs.push_back(rt.server(s).vproc());
+    manager = std::make_unique<staging::StagingRecoveryManager>(
+        rt.cluster(), &rt.servers(), vprocs, rt.server(0).params(),
+        /*spares=*/1);
+    if (rt.spill_gateway() != nullptr) {
+      manager->set_spill_endpoint(rt.spill_gateway()->endpoint());
+    }
+    manager->arm();
+    const cluster::VprocId victim = vprocs[1];
+    rt.engine().schedule_call(sim::seconds(110),
+                              [&rt, victim] { rt.cluster().kill(victim); });
+  }
+  runner.run();
+  if (manager != nullptr) {
+    ASSERT_EQ(manager->stats().servers_recovered, 1);
+  }
+  EXPECT_EQ(instrumentation_digest(runner), c.digest)
+      << c.name << ": 0x" << std::hex << instrumentation_digest(runner);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pins, ObsEquivalenceTest,
+    ::testing::Values(
+        EquivalenceCase{"co_failures", pin_co_failures, false,
+                        0x7de66691a2d52f4cull},
+        EquivalenceCase{"un_ckpt_governor_codec_staging_kill",
+                        pin_un_extensions, true, 0x635a0d06735452fdull},
+        EquivalenceCase{"hy_elastic_failures", pin_hy_elastic, false,
+                        0x4cf715f6b4fee700ull},
+        EquivalenceCase{"co_two_tenants_fair_share", pin_co_tenants, false,
+                        0xd891a64bd0b68076ull},
+        EquivalenceCase{"un_extensions_recorder_only",
+                        pin_un_extensions_recorder_only, true,
+                        0x787557a79df1e125ull}),
+    [](const ::testing::TestParamInfo<EquivalenceCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace dstage::core

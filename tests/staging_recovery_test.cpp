@@ -282,7 +282,7 @@ TEST(StagingRecoveryTest, SpareExhaustionNotesDegradationOnFlightRecorder) {
   // freeze a bundle.
   Rig rig(3, params_with(resilience::Redundancy::kErasureCode), /*spares=*/0);
   obs::FlightRecorder recorder;
-  rig.manager->set_recorder(&recorder, recorder.track("recovery-manager"));
+  rig.manager->set_track(obs::Track(nullptr, &recorder, "recovery-manager"));
   auto producer = rig.make_client(0);
   sim::spawn(rig.eng, [&]() -> sim::Task<void> {
     sim::Ctx ctx{&rig.eng, nullptr};
