@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the building blocks under the
 // workflow harness: DES engine throughput, Hilbert mapping, spatial
-// placement, fabric round-trips through the typed RPC transport,
-// object-store operations, event-queue bookkeeping, GF(256) arithmetic,
-// and Reed–Solomon encode/decode.
+// placement, fabric round-trips through the typed RPC transport, one-way
+// bulk sends, object-store operations, event-queue bookkeeping, GF(256)
+// arithmetic, and Reed–Solomon encode/decode.
 #include <benchmark/benchmark.h>
 
 #include "dht/spatial_index.hpp"
@@ -102,6 +102,44 @@ void BM_FabricRpcRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kCalls);
 }
 BENCHMARK(BM_FabricRpcRoundTrip);
+
+// Host-side throughput of one-way cross-node bulk sends: each PutRequest
+// carries a payload, pays NIC injection and rides the wire in one
+// engine-owned delivery closure.
+void BM_FabricBulkSend(benchmark::State& state) {
+  constexpr int kSends = 256;
+  const auto data = std::make_shared<const std::vector<std::uint8_t>>(4096, 1);
+  for (auto _ : state) {
+    sim::Engine eng;
+    net::Fabric fabric(eng, {});
+    const auto n0 = fabric.add_node();
+    const auto n1 = fabric.add_node();
+    const auto src_ep = fabric.add_endpoint(n0);
+    const auto dst_ep = fabric.add_endpoint(n1);
+    net::Rpc sender(fabric, src_ep);
+    sim::spawn(eng, [&]() -> sim::Task<void> {
+      for (int i = 0; i < kSends; ++i) {
+        net::Packet pkt = co_await fabric.endpoint(dst_ep).recv(nullptr);
+        benchmark::DoNotOptimize(pkt.bytes);
+      }
+    });
+    sim::spawn(eng, [&]() -> sim::Task<void> {
+      sim::Ctx ctx{&eng, nullptr};
+      for (int i = 0; i < kSends; ++i) {
+        net::PutRequest req;
+        req.app = 0;
+        req.chunk.var = "f";
+        req.chunk.version = i;
+        req.chunk.nominal_bytes = std::uint64_t{1} << 20;
+        req.chunk.data = data;
+        co_await sender.send(ctx, dst_ep, net::Message{std::move(req)});
+      }
+    });
+    benchmark::DoNotOptimize(eng.run());
+  }
+  state.SetItemsProcessed(state.iterations() * kSends);
+}
+BENCHMARK(BM_FabricBulkSend);
 
 void BM_PayloadEnvelopeTyped(benchmark::State& state) {
   for (auto _ : state) {

@@ -57,61 +57,31 @@ sim::Duration Fabric::injection_time(std::uint64_t bytes, NodeId node) const {
 sim::Task<void> Fabric::send_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
                                   Message payload) {
   const std::uint64_t bytes = serialized_size(payload);
-  Endpoint& from = endpoint(src);
+  const NodeId from = endpoint(src).node();
   Endpoint* target = &endpoint(dst);
-  if (from.node() == target->node()) {
+  ++packets_sent_;
+  bytes_sent_ += bytes;
+  if (from == target->node()) {
     // Same node: shared-memory handoff, no NIC, no wire latency. The
-    // message moves straight into the mailbox (no deliver closure, no
-    // heap envelope) — the common fast path for co-located endpoints.
-    ++packets_sent_;
-    bytes_sent_ += bytes;
+    // message moves straight into the mailbox.
     target->mailbox_.send(Packet{src, std::move(payload), bytes});
     co_return;
   }
-  auto deliver = [target, src, bytes,
-                  p = std::make_shared<Message>(std::move(payload))] {
-    target->mailbox_.send(Packet{src, std::move(*p), bytes});
-  };
-  co_await transmit_impl(ctx, src, dst, bytes, std::move(deliver));
-}
-
-sim::Task<void> Fabric::transmit_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                                 std::uint64_t bytes,
-                                 std::function<void()> deliver) {
-  Endpoint& from = endpoint(src);
-  Endpoint& to = endpoint(dst);
-  ++packets_sent_;
-  bytes_sent_ += bytes;
-
-  if (from.node() == to.node()) {
-    // Same node: shared-memory handoff, no NIC, no wire latency.
-    deliver();
-    co_return;
-  }
-
+  // The NIC wait stays inline rather than in a nested coroutine: this frame
+  // already owns the message, and a second frame per packet would carry it
+  // again.
   {
-    auto nic =
-        co_await nics_[static_cast<std::size_t>(from.node())]->acquire(
-            ctx.tok, 1);
-    co_await ctx.delay(injection_time(bytes, from.node()));
+    auto nic = co_await nics_[static_cast<std::size_t>(from)]->acquire(
+        ctx.tok, 1);
+    co_await ctx.delay(injection_time(bytes, from));
   }
   // Delivery fires even if the sender is killed from here on: the bytes are
-  // already on the wire.
-  eng_->schedule_call(params_.latency, std::move(deliver));
-}
-
-sim::Task<void> Fabric::notify_impl(sim::Ctx ctx, EndpointId src,
-                                    EndpointId dst,
-                                    std::function<void()> deliver) {
-  Endpoint& from = endpoint(src);
-  Endpoint& to = endpoint(dst);
-  ++packets_sent_;
-  if (from.node() == to.node()) {
-    deliver();
-    co_return;
-  }
-  co_await ctx.delay(params_.per_message_overhead);
-  eng_->schedule_call(params_.latency, std::move(deliver));
+  // already on the wire. The one closure owns the message; it is too big
+  // for an inline call frame, so the engine boxes it once.
+  eng_->schedule_call(params_.latency,
+                      [target, src, bytes, m = std::move(payload)]() mutable {
+                        target->mailbox_.send(Packet{src, std::move(m), bytes});
+                      });
 }
 
 }  // namespace dstage::net

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -83,10 +82,10 @@ class Fabric {
   }
   [[nodiscard]] const Params& params() const { return params_; }
 
-  // NOTE: send()/transmit() are plain functions forwarding to private
-  // coroutines. GCC 12's coroutine codegen double-destroys *prvalue*
-  // arguments bound to by-value coroutine parameters (xvalues and lvalues
-  // are fine); the shim materializes caller temporaries into named
+  // NOTE: send()/transmit()/notify() are plain functions forwarding to
+  // private coroutines. GCC 12's coroutine codegen double-destroys
+  // *prvalue* arguments bound to by-value coroutine parameters (xvalues and
+  // lvalues are fine); the shim materializes caller temporaries into named
   // parameters and moves them across the coroutine boundary, so call sites
   // may safely pass temporaries.
 
@@ -102,19 +101,21 @@ class Fabric {
 
   /// Pay the sender-side transport cost of `bytes` from `src` to `dst`,
   /// then run `deliver` after the wire latency (response path for
-  /// Reply-based RPCs, where no mailbox demultiplexing is wanted).
+  /// Reply-based RPCs, where no mailbox demultiplexing is wanted). Any
+  /// callable; the engine stores it unboxed when it fits a call frame.
+  template <class F>
   sim::Task<void> transmit(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                           std::uint64_t bytes,
-                           std::function<void()> deliver) {
-    return transmit_impl(ctx, src, dst, bytes, std::move(deliver));
+                           std::uint64_t bytes, F deliver) {
+    return transmit_impl<F>(ctx, src, dst, bytes, std::move(deliver));
   }
 
   /// Completion-queue notification: fixed overhead + wire latency, no NIC
   /// bandwidth (RDMA completions ride the control path and do not queue
   /// behind bulk DMA).
+  template <class F>
   sim::Task<void> notify(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                         std::function<void()> deliver) {
-    return notify_impl(ctx, src, dst, std::move(deliver));
+                         F deliver) {
+    return notify_impl<F>(ctx, src, dst, std::move(deliver));
   }
 
   /// Virtual-time cost of pushing `bytes` through the default NIC.
@@ -129,11 +130,37 @@ class Fabric {
  private:
   sim::Task<void> send_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
                             Message payload);
+
+  template <class F>
   sim::Task<void> transmit_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                                std::uint64_t bytes,
-                                std::function<void()> deliver);
+                                std::uint64_t bytes, F deliver) {
+    const NodeId from = endpoint(src).node();
+    ++packets_sent_;
+    bytes_sent_ += bytes;
+    if (from == endpoint(dst).node()) {
+      // Same node: shared-memory handoff, no NIC, no wire latency.
+      deliver();
+      co_return;
+    }
+    {
+      auto nic = co_await nics_[static_cast<std::size_t>(from)]->acquire(
+          ctx.tok, 1);
+      co_await ctx.delay(injection_time(bytes, from));
+    }
+    eng_->schedule_call(params_.latency, std::move(deliver));
+  }
+
+  template <class F>
   sim::Task<void> notify_impl(sim::Ctx ctx, EndpointId src, EndpointId dst,
-                              std::function<void()> deliver);
+                              F deliver) {
+    ++packets_sent_;
+    if (endpoint(src).node() == endpoint(dst).node()) {
+      deliver();
+      co_return;
+    }
+    co_await ctx.delay(params_.per_message_overhead);
+    eng_->schedule_call(params_.latency, std::move(deliver));
+  }
 
   sim::Engine* eng_;
   Params params_;

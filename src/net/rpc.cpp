@@ -7,15 +7,4 @@ sim::Task<void> Rpc::send_impl(sim::Ctx ctx, EndpointId dst, Message message) {
   co_await fabric_->send(ctx, self_, dst, std::move(message));
 }
 
-sim::Task<void> Rpc::respond_impl(sim::Ctx ctx, EndpointId dst,
-                                  std::uint64_t bytes,
-                                  std::function<void()> deliver) {
-  if (bytes <= kControlPathBytes) {
-    // Small acks are RDMA completion notifications: control path only.
-    co_await fabric_->notify(ctx, self_, dst, std::move(deliver));
-  } else {
-    co_await fabric_->transmit(ctx, self_, dst, bytes, std::move(deliver));
-  }
-}
-
 }  // namespace dstage::net

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -93,18 +92,8 @@ class Rpc {
     return fulfill_impl<Resp>(ctx, dst, std::move(reply), std::move(value));
   }
 
-  /// Response-path transport: control path for small messages, bulk
-  /// transmit otherwise. `deliver` runs after the wire latency.
-  sim::Task<void> respond(sim::Ctx ctx, EndpointId dst, std::uint64_t bytes,
-                          std::function<void()> deliver) {
-    return respond_impl(ctx, dst, bytes, std::move(deliver));
-  }
-
  private:
   sim::Task<void> send_impl(sim::Ctx ctx, EndpointId dst, Message message);
-  sim::Task<void> respond_impl(sim::Ctx ctx, EndpointId dst,
-                               std::uint64_t bytes,
-                               std::function<void()> deliver);
 
   template <class Req>
   sim::Task<typename Req::Response> call_impl(sim::Ctx ctx, EndpointId dst,
@@ -181,11 +170,16 @@ class Rpc {
   sim::Task<void> fulfill_impl(sim::Ctx ctx, EndpointId dst,
                                ReplyPtr<Resp> reply, Resp value) {
     const std::uint64_t bytes = wire_size(value);
-    std::function<void()> deliver = [reply = std::move(reply),
-                                     v = std::move(value)]() mutable {
+    auto deliver = [reply = std::move(reply),
+                    v = std::move(value)]() mutable {
       reply->fulfill(std::move(v));
     };
-    co_await respond_impl(ctx, dst, bytes, std::move(deliver));
+    if (bytes <= kControlPathBytes) {
+      // Small acks are RDMA completion notifications: control path only.
+      co_await fabric_->notify(ctx, self_, dst, std::move(deliver));
+    } else {
+      co_await fabric_->transmit(ctx, self_, dst, bytes, std::move(deliver));
+    }
   }
 
   Fabric* fabric_;

@@ -58,17 +58,21 @@ sim::Task<void> StagingRecoveryManager::recover(int index) {
   cluster_->revive(vp);
 
   // Fresh server instance on the same vproc/endpoint: the mailbox (and any
-  // backlog that accumulated during the outage) is preserved.
+  // backlog that accumulated during the outage) is preserved, and so is the
+  // dead instance's instrumentation — the replacement keeps its track.
+  auto& slot = (*servers_)[static_cast<std::size_t>(index)];
   auto replacement =
       std::make_unique<StagingServer>(*cluster_, vp, params_);
+  replacement->set_track(slot->track());
+  replacement->set_milestone_hook(slot->milestone_hook());
   std::vector<net::EndpointId> endpoints;
   endpoints.reserve(server_vprocs_.size());
   for (auto v : server_vprocs_)
     endpoints.push_back(cluster_->vproc(v).endpoint);
   replacement->set_peers(index, std::move(endpoints));
   if (spill_endpoint_ >= 0) replacement->set_spill_endpoint(spill_endpoint_);
-  (*servers_)[static_cast<std::size_t>(index)] = std::move(replacement);
-  (*servers_)[static_cast<std::size_t>(index)]->start_with_recovery();
+  slot = std::move(replacement);
+  slot->start_with_recovery();
   ++stats_.servers_recovered;
   degraded_.erase(index);
   recovering_.erase(index);

@@ -97,10 +97,14 @@ void StagingServer::apply_membership(std::uint64_t epoch,
   active_view_ = std::make_shared<const std::vector<int>>(std::move(active));
 }
 
+int view_pos(const std::vector<int>& view, int server) {
+  const auto it = std::lower_bound(view.begin(), view.end(), server);
+  if (it == view.end() || *it != server) return -1;
+  return static_cast<int>(it - view.begin());
+}
+
 int StagingServer::active_pos() const {
-  const auto it = std::find(view().begin(), view().end(), self_index_);
-  if (it == view().end()) return -1;
-  return static_cast<int>(it - view().begin());
+  return view_pos(view(), self_index_);
 }
 
 bool StagingServer::not_owner(const Box& region) const {
@@ -1329,10 +1333,8 @@ sim::Task<void> StagingServer::handoff_redundancy_impl() {
   // that also left the group die here: their primaries drained with them.
   if (n_act >= 2) {
     for (auto& [owner, frags] : fragments_) {
-      const auto oit =
-          std::find(view().begin(), view().end(), owner);
-      if (oit == view().end()) continue;
-      const int pos = static_cast<int>(oit - view().begin());
+      const int pos = view_pos(view(), owner);
+      if (pos < 0) continue;
       for (FragmentPut& f : frags) {
         const int slot = f.frag_index >= 1 ? f.frag_index : 1;
         const auto target = static_cast<std::size_t>(view()[
@@ -1344,10 +1346,8 @@ sim::Task<void> StagingServer::handoff_redundancy_impl() {
       }
     }
     for (auto& [owner, apps] : mirrors_) {
-      const auto oit =
-          std::find(view().begin(), view().end(), owner);
-      if (oit == view().end()) continue;
-      const int pos = static_cast<int>(oit - view().begin());
+      const int pos = view_pos(view(), owner);
+      if (pos < 0) continue;
       const auto successor = static_cast<std::size_t>(
           view()[static_cast<std::size_t>((pos + 1) % n_act)]);
       if (static_cast<int>(successor) == owner) continue;

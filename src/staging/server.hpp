@@ -119,6 +119,12 @@ struct MemoryReport {
   }
 };
 
+/// Position of `server` in a membership view, or -1 when it is absent.
+/// Every view is ascending (the identity view of set_peers, and the
+/// SpatialIndex's active_servers(), which joins and retires keep sorted),
+/// so this is a binary search.
+[[nodiscard]] int view_pos(const std::vector<int>& view, int server);
+
 class StagingServer {
  public:
   StagingServer(cluster::Cluster& cluster, cluster::VprocId vproc,
@@ -188,6 +194,9 @@ class StagingServer {
       Milestone, const std::string& subject, Version a, std::int64_t b)>;
   void set_milestone_hook(MilestoneHook hook) {
     milestone_hook_ = std::move(hook);
+  }
+  [[nodiscard]] const MilestoneHook& milestone_hook() const {
+    return milestone_hook_;
   }
 
   /// Wire the memory governor to the PFS spill gateway. Without a gateway
@@ -264,6 +273,7 @@ class StagingServer {
   /// Attach the run's instrumentation (spans, metrics, flight recorder) on
   /// this server's track ("staging-N").
   void set_track(obs::Track track) { track_ = std::move(track); }
+  [[nodiscard]] const obs::Track& track() const { return track_; }
 
   [[nodiscard]] cluster::VprocId vproc() const { return vproc_; }
   [[nodiscard]] net::EndpointId endpoint() const;

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "dht/spatial_index.hpp"
 
@@ -136,6 +139,34 @@ TEST(DhtElasticTest, GrowAndShrinkKeepsFullCoverage) {
     points += p.total_points;
   }
   EXPECT_EQ(points, static_cast<std::uint64_t>(kDomain.volume()));
+}
+
+TEST(DhtElasticTest, ActiveServersStayStrictlyAscendingUnderChurn) {
+  // Staging servers find themselves in a membership view by binary search
+  // (staging::view_pos), so every view the index hands out must be
+  // strictly ascending — whatever order servers join and retire in.
+  SpatialIndex index(kDomain, 4, kCells);
+  std::set<int> expect = {0, 1, 2, 3};
+  const std::vector<std::pair<bool, int>> steps = {
+      {true, 7}, {false, 1}, {true, 5}, {false, 0}, {true, 1},
+      {true, 4}, {false, 7}, {false, 3}, {true, 0}, {true, 9},
+      {false, 5}, {true, 6}, {false, 2}, {true, 3}};
+  for (const auto& [join, server] : steps) {
+    if (join) {
+      (void)index.add_server(server);
+      expect.insert(server);
+    } else {
+      (void)index.remove_server(server);
+      expect.erase(server);
+    }
+    const std::vector<int> active = index.active_servers();
+    EXPECT_TRUE(std::adjacent_find(active.begin(), active.end(),
+                                   std::greater_equal<int>()) ==
+                active.end())
+        << "after " << (join ? "join " : "retire ") << server;
+    EXPECT_EQ(active, std::vector<int>(expect.begin(), expect.end()));
+  }
+  EXPECT_EQ(index.epoch(), steps.size());
 }
 
 TEST(DhtElasticTest, SoleOwnerDetectsSplitRegions) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -141,6 +144,69 @@ TEST(FabricTest, SenderKilledAfterInjectionStillDelivers) {
   rig.eng.schedule_call(sim::microseconds(10), [&] { tok.cancel(); });
   rig.eng.run();
   EXPECT_TRUE(delivered);
+}
+
+/// A payload whose fragment bytes the test can watch: `alive` expires
+/// exactly when the last copy of the message is destroyed.
+Message watched_payload(std::uint64_t nominal, std::string var,
+                        std::weak_ptr<const std::vector<std::uint8_t>>& alive) {
+  Message msg = sized_payload(nominal, std::move(var));
+  auto data = std::make_shared<const std::vector<std::uint8_t>>(16, 7);
+  alive = data;
+  std::get<FragmentPut>(msg).data = std::move(data);
+  return msg;
+}
+
+TEST(FabricTest, SenderKilledWhileQueuedOnNicDeliversNothing) {
+  // A second sender waits for the NIC behind a 1-second injection and is
+  // killed in the queue: its bytes never reach the wire, so nothing is
+  // delivered, and the message it owned is freed with it.
+  Rig rig;
+  sim::CancelToken tok;
+  std::weak_ptr<const std::vector<std::uint8_t>> queued;
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    co_await rig.fabric.send(ctx, rig.a, rig.b,
+                             sized_payload(8'000'000'000ull, "first"));
+  });
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, &tok};
+    co_await rig.fabric.send(ctx, rig.a, rig.b,
+                             watched_payload(64, "second", queued));
+  });
+  rig.eng.schedule_call(sim::microseconds(10), [&] {
+    EXPECT_FALSE(queued.expired());  // still waiting for the NIC
+    tok.cancel();
+  });
+  rig.eng.run();
+  EXPECT_TRUE(queued.expired());
+  Endpoint& dst = rig.fabric.endpoint(rig.b);
+  ASSERT_EQ(dst.pending(), 1u);
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    Packet pkt = co_await dst.recv(nullptr);
+    EXPECT_EQ(std::get<FragmentPut>(pkt.payload).var, "first");
+  });
+  rig.eng.run();
+}
+
+TEST(FabricTest, EngineTeardownFreesPacketInFlight) {
+  // Once injected, a remote packet lives only in the engine's delivery
+  // closure. Tearing the engine down before the wire latency elapses must
+  // free it (the sanitizer job's leak check catches a lost closure too).
+  std::weak_ptr<const std::vector<std::uint8_t>> in_flight;
+  {
+    Rig rig;
+    sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+      sim::Ctx ctx{&rig.eng, nullptr};
+      co_await rig.fabric.send(ctx, rig.a, rig.b,
+                               watched_payload(64, "late", in_flight));
+    });
+    rig.eng.run_until(sim::TimePoint{} + rig.fabric.injection_time(64));
+    EXPECT_FALSE(rig.eng.empty());
+    EXPECT_EQ(rig.fabric.endpoint(rig.b).pending(), 0u);
+    EXPECT_FALSE(in_flight.expired());
+  }
+  EXPECT_TRUE(in_flight.expired());
 }
 
 TEST(FabricTest, ReplyRoundTrip) {

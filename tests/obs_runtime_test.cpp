@@ -185,7 +185,11 @@ TEST(ObsRuntimeTest, ParallelSweepAggregateEqualsSerial) {
 // Any change to where spans open or close, which track they land on, what
 // the recorder sees or in which order, moves the pin. The values were
 // captured before the instrumentation sites were collapsed onto obs::Track
-// and must never be re-pinned by a refactor.
+// and must never be re-pinned by a refactor. The two staging-kill pins
+// were re-pinned once, for a behavior fix: the recovered staging-1 keeps
+// its track, so its post-kill spans, metrics, recorder events (which push
+// the oldest staging-1 events out of its fixed-size ring) and, with obs
+// on, milestone trace records now appear. Every other record is unchanged.
 struct EquivalenceCase {
   const char* name;
   WorkflowSpec (*make)();
@@ -268,6 +272,57 @@ std::uint64_t instrumentation_digest(WorkflowRunner& runner) {
   return mix(h, std::to_string(runner.trace().digest()));
 }
 
+constexpr sim::Duration kStagingKillAt = sim::seconds(110);
+
+/// Arm a one-spare StagingRecoveryManager over the runtime's staging group
+/// and kill `staging-1` at kStagingKillAt. The manager must outlive the
+/// runner's teardown, whose vproc kills it observes (the single spare is
+/// spent by then, so they only mark servers degraded).
+std::unique_ptr<staging::StagingRecoveryManager> arm_staging_kill(
+    Runtime& rt) {
+  std::vector<cluster::VprocId> vprocs;
+  for (int s = 0; s < rt.server_count(); ++s)
+    vprocs.push_back(rt.server(s).vproc());
+  auto manager = std::make_unique<staging::StagingRecoveryManager>(
+      rt.cluster(), &rt.servers(), vprocs, rt.server(0).params(),
+      /*spares=*/1);
+  if (rt.spill_gateway() != nullptr) {
+    manager->set_spill_endpoint(rt.spill_gateway()->endpoint());
+  }
+  manager->arm();
+  const cluster::VprocId victim = vprocs[1];
+  rt.engine().schedule_call(kStagingKillAt,
+                            [&rt, victim] { rt.cluster().kill(victim); });
+  return manager;
+}
+
+TEST(ObsRuntimeTest, RecoveredStagingServerKeepsItsTrack) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "built with DSTAGE_OBS=OFF";
+  // The replacement a StagingRecoveryManager builds serves traffic on the
+  // dead server's track: its spans, metrics and flight-recorder events
+  // land on "staging-1" like its predecessor's did.
+  std::unique_ptr<staging::StagingRecoveryManager> manager;
+  WorkflowRunner runner(pin_un_extensions());
+  Runtime& rt = runner.runtime();
+  manager = arm_staging_kill(rt);
+  runner.run();
+  ASSERT_EQ(manager->stats().servers_recovered, 1);
+  EXPECT_EQ(rt.server(1).track().name(), "staging-1");
+  EXPECT_GT(rt.server(1).stats().puts, 0u);
+
+  const std::int64_t kill_ns = kStagingKillAt.ns;
+  std::size_t spans = 0;
+  for (const obs::Span& sp : rt.obs()->tracer().spans()) {
+    if (sp.track == "staging-1" && sp.start.ns >= kill_ns) ++spans;
+  }
+  std::size_t events = 0;
+  for (const obs::FrDecoded& e : rt.recorder()->dump()) {
+    if (e.track == "staging-1" && e.at_ns >= kill_ns) ++events;
+  }
+  EXPECT_GT(spans, 0u);
+  EXPECT_GT(events, 0u);
+}
+
 class ObsEquivalenceTest : public ::testing::TestWithParam<EquivalenceCase> {};
 
 TEST_P(ObsEquivalenceTest, InstrumentationDigestIsPinned) {
@@ -276,27 +331,10 @@ TEST_P(ObsEquivalenceTest, InstrumentationDigestIsPinned) {
   if (spec.obs.enabled && !obs::compiled_in()) {
     GTEST_SKIP() << "built with DSTAGE_OBS=OFF";
   }
-  // Declared before the runner so it outlives the runner's teardown, whose
-  // vproc kills it observes (the single spare is spent by then, so they
-  // only mark servers degraded).
+  // Declared before the runner so it outlives the runner's teardown.
   std::unique_ptr<staging::StagingRecoveryManager> manager;
   WorkflowRunner runner(std::move(spec));
-  Runtime& rt = runner.runtime();
-  if (c.kill_staging) {
-    std::vector<cluster::VprocId> vprocs;
-    for (int s = 0; s < rt.server_count(); ++s)
-      vprocs.push_back(rt.server(s).vproc());
-    manager = std::make_unique<staging::StagingRecoveryManager>(
-        rt.cluster(), &rt.servers(), vprocs, rt.server(0).params(),
-        /*spares=*/1);
-    if (rt.spill_gateway() != nullptr) {
-      manager->set_spill_endpoint(rt.spill_gateway()->endpoint());
-    }
-    manager->arm();
-    const cluster::VprocId victim = vprocs[1];
-    rt.engine().schedule_call(sim::seconds(110),
-                              [&rt, victim] { rt.cluster().kill(victim); });
-  }
+  if (c.kill_staging) manager = arm_staging_kill(runner.runtime());
   runner.run();
   if (manager != nullptr) {
     ASSERT_EQ(manager->stats().servers_recovered, 1);
@@ -311,14 +349,14 @@ INSTANTIATE_TEST_SUITE_P(
         EquivalenceCase{"co_failures", pin_co_failures, false,
                         0x7de66691a2d52f4cull},
         EquivalenceCase{"un_ckpt_governor_codec_staging_kill",
-                        pin_un_extensions, true, 0x635a0d06735452fdull},
+                        pin_un_extensions, true, 0x9aac32efa89f259eull},
         EquivalenceCase{"hy_elastic_failures", pin_hy_elastic, false,
                         0x4cf715f6b4fee700ull},
         EquivalenceCase{"co_two_tenants_fair_share", pin_co_tenants, false,
                         0xd891a64bd0b68076ull},
         EquivalenceCase{"un_extensions_recorder_only",
                         pin_un_extensions_recorder_only, true,
-                        0x787557a79df1e125ull}),
+                        0xc560c93a7908150cull}),
     [](const ::testing::TestParamInfo<EquivalenceCase>& info) {
       return std::string(info.param.name);
     });

@@ -107,6 +107,39 @@ struct ElasticRig {
   void run() { eng.run(); }
 };
 
+TEST(StagingElasticTest, ViewPosLocatesServersInMembershipViews) {
+  // The membership views a server can hold: the identity view of a fixed
+  // group, the view left after a retire (a gap), and the view after a
+  // standby joins back in the middle.
+  dht::SpatialIndex index(Box::from_dims(64, 64, 64), 4, 8);
+  const std::vector<int> identity = index.active_servers();
+  (void)index.remove_server(1);
+  const std::vector<int> retired = index.active_servers();
+  (void)index.add_server(5);
+  (void)index.add_server(1);
+  const std::vector<int> joined = index.active_servers();
+  ASSERT_EQ(identity, (std::vector<int>{0, 1, 2, 3}));
+  ASSERT_EQ(retired, (std::vector<int>{0, 2, 3}));
+  ASSERT_EQ(joined, (std::vector<int>{0, 1, 2, 3, 5}));
+
+  struct Row {
+    const std::vector<int>* view;
+    int server;
+    int pos;
+  };
+  const std::vector<Row> table = {
+      {&identity, 0, 0}, {&identity, 3, 3},  {&identity, 4, -1},
+      {&retired, 0, 0},  {&retired, 1, -1},  {&retired, 2, 1},
+      {&retired, 3, 2},  {&joined, 1, 1},    {&joined, 4, -1},
+      {&joined, 5, 4},   {&joined, 6, -1},   {&joined, -1, -1},
+  };
+  for (const Row& row : table) {
+    EXPECT_EQ(view_pos(*row.view, row.server), row.pos)
+        << "server " << row.server;
+  }
+  EXPECT_EQ(view_pos({}, 0), -1);
+}
+
 TEST(StagingElasticTest, JoinResilversAndReadsStayEquivalent) {
   ElasticRig rig(2, 1, elastic_params(resilience::Redundancy::kNone));
   auto producer = rig.make_client(0);
