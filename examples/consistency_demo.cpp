@@ -52,6 +52,9 @@ struct Stage {
     return std::make_unique<staging::StagingClient>(
         cluster, index, server_vprocs, vp, cp);
   }
+
+  // Unwind every process so no coroutine frame outlives the rig.
+  ~Stage() { cluster.shutdown(); }
 };
 
 // A producer stages versions 1..5; the consumer reads them, checkpointing

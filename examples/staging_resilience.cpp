@@ -101,5 +101,6 @@ int main() {
               "(wrong=%d corrupt=%d)\n",
               (wrong + corrupt) == 0 ? "intact" : "VIOLATED", wrong,
               corrupt);
+  cluster.shutdown();  // unwind every process before the servers go
   return (wrong + corrupt) == 0 ? 0 : 1;
 }

@@ -37,6 +37,12 @@ void Cluster::kill(VprocId id) {
   }
 }
 
+void Cluster::shutdown() {
+  observers_.clear();
+  for (const auto& vp : vprocs_) kill(vp->id);
+  eng_->run();
+}
+
 void Cluster::revive(VprocId id) {
   Vproc& vp = vproc(id);
   if (vp.alive) throw std::logic_error("revive of a live vproc");

@@ -70,6 +70,12 @@ class Cluster {
   }
   void set_detection_delay(sim::Duration d) { detection_delay_ = d; }
 
+  /// End of run: drop the failure observers (so a recovery manager spawns
+  /// no replacement), kill every live vproc and run the engine dry. Every
+  /// process's coroutine frames unwind and are freed; call it while the
+  /// objects those processes reference are still alive.
+  void shutdown();
+
   [[nodiscard]] sim::Engine& engine() { return *eng_; }
   [[nodiscard]] net::Fabric& fabric() { return *fabric_; }
   [[nodiscard]] int kill_count() const { return kill_count_; }

@@ -185,12 +185,12 @@ void Runtime::build(const SchemePolicy& policy) {
   // endpoint/vproc numbering (the golden-trace digests depend on it).
   if (spec_.staging.memory_budget > 0) {
     const auto node = cluster_.add_node();
-    spill_vproc_ = cluster_.add_vproc("spill-gw", node);
+    const auto spill_vproc = cluster_.add_vproc("spill-gw", node);
     spill_gateway_ =
-        std::make_unique<staging::SpillGateway>(cluster_, spill_vproc_, pfs_);
+        std::make_unique<staging::SpillGateway>(cluster_, spill_vproc, pfs_);
     spill_gateway_->set_track(
         obs::Track(obs_.get(), recorder_.get(), "spill-gw"));
-    const auto ep = cluster_.vproc(spill_vproc_).endpoint;
+    const auto ep = cluster_.vproc(spill_vproc).endpoint;
     for (auto& server : servers_) server->set_spill_endpoint(ep);
   }
 
@@ -199,12 +199,12 @@ void Runtime::build(const SchemePolicy& policy) {
   // the build — and thus the golden-trace digests — is untouched.
   if (spec_.elastic.enabled()) {
     const auto node = cluster_.add_node();
-    group_vproc_ = cluster_.add_vproc("group-mgr", node);
+    const auto group_vproc = cluster_.add_vproc("group-mgr", node);
     std::vector<staging::StagingServer*> group_servers;
     group_servers.reserve(servers_.size());
     for (auto& server : servers_) group_servers.push_back(server.get());
     group_manager_ = std::make_unique<staging::GroupManager>(
-        cluster_, group_vproc_, *index_, std::move(group_servers));
+        cluster_, group_vproc, *index_, std::move(group_servers));
     group_manager_->set_track(
         obs::Track(obs_.get(), recorder_.get(), "group-mgr"));
     for (auto& server : servers_) {
@@ -230,9 +230,9 @@ void Runtime::build(const SchemePolicy& policy) {
     ckpt_hierarchy_ =
         std::make_unique<ckpt::CheckpointHierarchy>(spec_.ckpt.xor_group);
     const auto node = cluster_.add_node();
-    drain_vproc_ = cluster_.add_vproc("ckpt-drain", node);
+    const auto drain_vproc = cluster_.add_vproc("ckpt-drain", node);
     drain_agent_ = std::make_unique<ckpt::DrainAgent>(
-        cluster_, drain_vproc_, pfs_, *ckpt_hierarchy_);
+        cluster_, drain_vproc, pfs_, *ckpt_hierarchy_);
     std::vector<net::EndpointId> server_endpoints;
     server_endpoints.reserve(server_vprocs_.size());
     for (auto vp : server_vprocs_)
@@ -593,22 +593,7 @@ void Runtime::teardown() {
   if (torn_down_) return;
   torn_down_ = true;
   sys_token_.cancel();
-  for (auto& c : comps_) {
-    if (cluster_.vproc(c->vproc).alive) cluster_.kill(c->vproc);
-  }
-  for (auto vp : server_vprocs_) {
-    if (cluster_.vproc(vp).alive) cluster_.kill(vp);
-  }
-  if (spill_vproc_ >= 0 && cluster_.vproc(spill_vproc_).alive) {
-    cluster_.kill(spill_vproc_);
-  }
-  if (group_vproc_ >= 0 && cluster_.vproc(group_vproc_).alive) {
-    cluster_.kill(group_vproc_);
-  }
-  if (drain_vproc_ >= 0 && cluster_.vproc(drain_vproc_).alive) {
-    cluster_.kill(drain_vproc_);
-  }
-  engine_.run();
+  cluster_.shutdown();
 }
 
 std::unique_ptr<Runtime> RuntimeBuilder::build() {

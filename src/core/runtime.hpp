@@ -254,12 +254,9 @@ class Runtime {
   std::unique_ptr<staging::StagingClient> control_client_;
   cluster::VprocId control_vproc_ = -1;
   std::unique_ptr<staging::SpillGateway> spill_gateway_;
-  cluster::VprocId spill_vproc_ = -1;
   std::unique_ptr<staging::GroupManager> group_manager_;
-  cluster::VprocId group_vproc_ = -1;
   std::unique_ptr<ckpt::CheckpointHierarchy> ckpt_hierarchy_;
   std::unique_ptr<ckpt::DrainAgent> drain_agent_;
-  cluster::VprocId drain_vproc_ = -1;
   /// Control-plane transport for group_change(); shares the control
   /// client's endpoint (replies are fulfilled through their ReplyPtr, not
   /// the endpoint mailbox, so two Rpc instances coexist safely).

@@ -402,7 +402,6 @@ struct FragmentFetch {
 };
 
 struct ResilverAck {
-  bool ok = false;
   /// Destination governor pressure (governed footprint / soft watermark);
   /// sources back off above 1.0 so resilver yields to foreground puts.
   double pressure = 0;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,6 +38,15 @@ class DataLossError : public std::runtime_error {
   std::string var_;
   Version version_;
 };
+
+/// Decode one owner chunk from the fragments that protect it (all of one
+/// (var, version, region), possibly with duplicates): the first replica
+/// whose bytes match its content key, or the RS(k, m) reconstruction when
+/// it verifies. std::nullopt when nothing verifies — too few shards, every
+/// copy corrupt, or no redundancy policy. The one decoder behind both a
+/// degraded read and a replacement server's rebuild.
+std::optional<Chunk> decode_object(const std::vector<const FragmentPut*>& frags,
+                                   const resilience::ResiliencePolicy& policy);
 
 /// Outcome of one degraded reconstruction.
 struct DegradedReconstruction {

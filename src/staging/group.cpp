@@ -83,8 +83,10 @@ sim::Task<StagingServer::ResilverOutcome> GroupManager::resilver_moves(
   std::vector<sim::Task<StagingServer::ResilverOutcome>> sweeps;
   for (auto& [pair, regions] : transfers) {
     const auto [from, to] = pair;
-    sweeps.push_back(servers_[static_cast<std::size_t>(from)]->resilver_out(
-        to, server_endpoint(to), std::move(regions)));
+    std::vector<StagingServer::HandoffDest> dest{
+        {to, server_endpoint(to), std::move(regions)}};
+    sweeps.push_back(servers_[static_cast<std::size_t>(from)]->hand_off(
+        std::move(dest), StagingServer::Release::kCovered));
   }
   auto outcomes = co_await sim::when_all(c, std::move(sweeps));
   for (const StagingServer::ResilverOutcome& o : outcomes) {
@@ -186,9 +188,9 @@ sim::Task<void> GroupManager::handle_retire(RetireServer req) {
   StagingServer* retiree = servers_[static_cast<std::size_t>(server)];
   co_await resilver_moves(moves);
 
-  // The per-destination sweep above leaves behind any chunk straddling
+  // The per-destination sweeps above leave behind any chunk straddling
   // cells that moved to *different* successors (no single transfer covers
-  // it). The drain pass hands each leftover piece whole to every new owner
+  // it). The drain sweep hands each leftover piece whole to every new owner
   // of its region before releasing it, so a finite number of sweeps always
   // empties the retiree.
   std::map<int, std::vector<Box>> successor_regions;
@@ -196,7 +198,7 @@ sim::Task<void> GroupManager::handle_retire(RetireServer req) {
     Box box = index_->cell_box_of(m.cell);
     if (!box.empty()) successor_regions[m.to].push_back(box);
   }
-  std::vector<StagingServer::DrainDest> dests;
+  std::vector<StagingServer::HandoffDest> dests;
   for (auto& [to, regions] : successor_regions) {
     dests.push_back({to, server_endpoint(to), std::move(regions)});
   }
@@ -207,7 +209,8 @@ sim::Task<void> GroupManager::handle_retire(RetireServer req) {
       co_await c.delay(kDrainPause);
     }
     ++sweeps;
-    StagingServer::ResilverOutcome o = co_await retiree->drain_out(dests);
+    StagingServer::ResilverOutcome o = co_await retiree->hand_off(
+        dests, StagingServer::Release::kDelivered);
     stats_.resilver_chunks += o.chunks;
     stats_.resilver_bytes += o.bytes;
     track_.count("elastic.resilver_chunks", o.chunks);

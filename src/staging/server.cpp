@@ -9,6 +9,7 @@
 
 #include "resilience/reed_solomon.hpp"
 #include "sim/spawn.hpp"
+#include "staging/degraded_read.hpp"
 #include "staging/tenant.hpp"
 
 namespace dstage::staging {
@@ -251,49 +252,19 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
     const std::uint64_t incoming =
         chunk.nominal_bytes *
         (params_.logging && logged ? 2u : 1u);  // store copy + log retention
-    switch (governor_.admit(memory().governed(), incoming)) {
-      case MemoryGovernor::Admission::kAdmit:
-        break;
-      case MemoryGovernor::Admission::kAdmitOverrun:
-        ++stats_.governor_overruns;
-        track_.count("governor.overruns");
-        break;
-      case MemoryGovernor::Admission::kReject:
-        ++stats_.puts_rejected;
-        track_.count("governor.puts_rejected");
-        track_.record(cluster_->engine().now(), obs::FrKind::kPutReject,
-                      chunk.var, static_cast<std::int64_t>(chunk.version),
-                      static_cast<std::int64_t>(chunk.nominal_bytes));
-        resp.applied = false;
-        resp.retry_later = true;
-        poke_governor();  // make sure relief is under way before the retry
-        co_return resp;
-    }
     // Weighted fair-share: a put that fits the pooled budget must also fit
     // its own tenant's share, so a hoarding tenant's backlog bounces only
     // that tenant's writers — co-resident tenants keep their full shares.
-    if (governor_.fair_share()) {
-      const net::TenantId tenant = tenant_of(chunk.var);
-      switch (governor_.admit_tenant(tenant, governed_bytes(tenant),
-                                     incoming)) {
-        case MemoryGovernor::Admission::kAdmit:
-          break;
-        case MemoryGovernor::Admission::kAdmitOverrun:
-          ++stats_.governor_overruns;
-          track_.count("governor.overruns");
-          break;
-        case MemoryGovernor::Admission::kReject:
-          ++stats_.puts_rejected;
-          ++stats_.fair_share_rejects;
-          track_.count("governor.fair_share_rejects");
-          track_.record(cluster_->engine().now(), obs::FrKind::kPutReject,
-                        chunk.var, static_cast<std::int64_t>(chunk.version),
-                        static_cast<std::int64_t>(chunk.nominal_bytes));
-          resp.applied = false;
-          resp.retry_later = true;
-          poke_governor();
-          co_return resp;
-      }
+    const net::TenantId tenant = tenant_of(chunk.var);
+    if (admission_rejects(governor_.admit(memory().governed(), incoming),
+                          chunk, false) ||
+        (governor_.fair_share() &&
+         admission_rejects(governor_.admit_tenant(
+                               tenant, governed_bytes(tenant), incoming),
+                           chunk, true))) {
+      resp.applied = false;
+      resp.retry_later = true;
+      co_return resp;
     }
   }
 
@@ -333,6 +304,27 @@ sim::Task<PutResponse> StagingServer::apply_put(AppId app, bool logged,
     poke_governor();  // the footprint just grew; spill if over the soft mark
   }
   co_return resp;
+}
+
+bool StagingServer::admission_rejects(MemoryGovernor::Admission verdict,
+                                      const Chunk& chunk, bool fair_share) {
+  if (verdict == MemoryGovernor::Admission::kAdmitOverrun) {
+    ++stats_.governor_overruns;
+    track_.count("governor.overruns");
+  }
+  if (verdict != MemoryGovernor::Admission::kReject) return false;
+  ++stats_.puts_rejected;
+  if (fair_share) {
+    ++stats_.fair_share_rejects;
+    track_.count("governor.fair_share_rejects");
+  } else {
+    track_.count("governor.puts_rejected");
+  }
+  track_.record(cluster_->engine().now(), obs::FrKind::kPutReject, chunk.var,
+                static_cast<std::int64_t>(chunk.version),
+                static_cast<std::int64_t>(chunk.nominal_bytes));
+  poke_governor();  // make sure relief is under way before the retry
+  return true;
 }
 
 sim::Task<void> StagingServer::handle_put(PutRequest req) {
@@ -421,10 +413,7 @@ sim::Task<void> StagingServer::handle_get(GetRequest req) {
   if (store_.covers(req.desc.var, req.desc.version, req.desc.region)) {
     if (params_.logging && req.logged) {
       co_await c.delay(params_.log_event_overhead);
-      wlog::LogEvent event{wlog::EventKind::kGet, req.app, req.desc.version,
-                           req.desc.var, req.desc.region, 0, 0};
-      queues_[req.app].record(event);
-      sim::spawn(cluster_->engine(), mirror_event(std::move(event)));
+      log_get(req.app, req.desc);
     }
     auto pieces = store_.get(req.desc.var, req.desc.version, req.desc.region);
     sim::spawn(cluster_->engine(),
@@ -439,10 +428,7 @@ sim::Task<void> StagingServer::handle_get(GetRequest req) {
     // read-through below faults it back in first.
     co_await ensure_log_resident(req.desc.var, req.desc.version);
     co_await c.delay(params_.log_event_overhead);
-    wlog::LogEvent levent{wlog::EventKind::kGet, req.app, req.desc.version,
-                          req.desc.var, req.desc.region, 0, 0};
-    queues_[req.app].record(levent);
-    sim::spawn(cluster_->engine(), mirror_event(std::move(levent)));
+    log_get(req.app, req.desc);
     auto pieces = dlog_.get(req.desc.var, req.desc.version, req.desc.region);
     ++stats_.gets_from_log;
     sim::spawn(cluster_->engine(),
@@ -492,35 +478,45 @@ sim::Task<void> StagingServer::respond_get(GetRequest req,
                         std::move(resp));
 }
 
-void StagingServer::poke_pending(const std::string& var, Version version) {
-  for (std::size_t i = 0; i < pending_.size();) {
-    GetRequest& req = pending_[i];
-    // Exact-version match always serves; a non-logged request parked on an
-    // older version is unblocked by any newer covering write (and will
-    // observe the wrong-version anomaly).
+void StagingServer::poke_pending(const std::string& var, Version version,
+                                 bool from_log) {
+  // Exact-version match always serves; a non-logged request parked on an
+  // older version is unblocked by any newer covering write (and will
+  // observe the wrong-version anomaly). The log wakes exact logged reads.
+  const auto ready = [&](const GetRequest& req) {
+    const bool logged = params_.logging && req.logged;
     const bool exact = req.desc.version == version;
-    const bool superseded = !(params_.logging && req.logged) &&
-                            req.desc.version < version;
-    if (req.desc.var == var && (exact || superseded) &&
-        store_.covers(var, version, req.desc.region)) {
-      GetRequest ready = std::move(req);
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      if (params_.logging && ready.logged) {
-        wlog::LogEvent event{wlog::EventKind::kGet, ready.app,
-                             ready.desc.version, ready.desc.var,
-                             ready.desc.region, 0, 0};
-        queues_[ready.app].record(event);
-        sim::spawn(cluster_->engine(), mirror_event(std::move(event)));
-      }
-      // `version` (not desc.version) so superseded requests observe the
-      // newer data.
-      auto pieces = store_.get(ready.desc.var, version, ready.desc.region);
-      sim::spawn(cluster_->engine(),
-                 respond_get(std::move(ready), std::move(pieces), false));
-    } else {
-      ++i;
+    if (req.desc.var != var) return false;
+    if (from_log) {
+      return logged && exact && dlog_.covers(var, version, req.desc.region);
     }
+    return (exact || (!logged && req.desc.version < version)) &&
+           store_.covers(var, version, req.desc.region);
+  };
+  for (std::size_t i = 0; i < pending_.size();) {
+    if (!ready(pending_[i])) {
+      ++i;
+      continue;
+    }
+    GetRequest woken = std::move(pending_[i]);
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+    if (params_.logging && woken.logged) log_get(woken.app, woken.desc);
+    // `version` (not desc.version) so superseded requests observe the
+    // newer data.
+    std::vector<Chunk> pieces =
+        from_log ? dlog_.get(var, version, woken.desc.region)
+                 : store_.get(var, version, woken.desc.region);
+    if (from_log) ++stats_.gets_from_log;
+    sim::spawn(cluster_->engine(),
+               respond_get(std::move(woken), std::move(pieces), from_log));
   }
+}
+
+void StagingServer::log_get(AppId app, const ObjectDesc& desc) {
+  wlog::LogEvent event{wlog::EventKind::kGet, app, desc.version, desc.var,
+                       desc.region, 0, 0};
+  queues_[app].record(event);
+  sim::spawn(cluster_->engine(), mirror_event(std::move(event)));
 }
 
 std::vector<std::pair<std::string, Version>>
@@ -603,14 +599,9 @@ sim::Task<void> StagingServer::sweep_after_durable(Version version) {
   const obs::SpanId sweep_span =
       track_.begin("gc sweep", obs::Phase::kOther, cluster_->engine().now(),
                    current_request_span_);
-  const gc::SweepResult sweep = gc_.sweep(dlog_);
-  stats_.gc_versions_dropped += sweep.versions_dropped;
-  stats_.gc_nominal_freed += sweep.nominal_freed;
-  co_await c.delay(params_.gc_cost_per_entry *
-                   static_cast<std::int64_t>(sweep.entries_scanned + 1));
+  const gc::SweepResult sweep = sweep_log();
+  co_await c.delay(gc_walk_time(sweep));
   track_.end(sweep_span, cluster_->engine().now());
-  track_.count("gc.versions_dropped", sweep.versions_dropped);
-  track_.count("gc.nominal_freed_bytes", sweep.nominal_freed);
   track_.record(cluster_->engine().now(), obs::FrKind::kGcSweep, {},
                 static_cast<std::int64_t>(sweep.entries_scanned),
                 static_cast<std::int64_t>(sweep.nominal_freed));
@@ -648,6 +639,15 @@ sim::Task<void> StagingServer::sweep_after_durable(Version version) {
       }
     }
   }
+}
+
+gc::SweepResult StagingServer::sweep_log() {
+  const gc::SweepResult sweep = gc_.sweep(dlog_);
+  stats_.gc_versions_dropped += sweep.versions_dropped;
+  stats_.gc_nominal_freed += sweep.nominal_freed;
+  track_.count("gc.versions_dropped", sweep.versions_dropped);
+  track_.count("gc.nominal_freed_bytes", sweep.nominal_freed);
+  return sweep;
 }
 
 sim::Task<void> StagingServer::handle_ckpt_drain_ack(CkptDrainAck ack) {
@@ -954,20 +954,12 @@ sim::Task<void> StagingServer::rebuild_objects_from_peers() {
 
   // Group fragments by object; replay mirrored queue events in order (the
   // single successor mirror preserves per-app ordering).
-  struct Key {
-    std::string var;
-    Version version;
-    std::uint64_t region;
-    bool operator<(const Key& o) const {
-      return std::tie(var, version, region) <
-             std::tie(o.var, o.version, o.region);
-    }
-  };
-  std::map<Key, std::vector<FragmentPut>> objects;
+  std::map<std::tuple<std::string, Version, std::uint64_t>,
+           std::vector<const FragmentPut*>>
+      objects;
   for (auto& resp : responses) {
-    for (FragmentPut& f : resp.fragments) {
-      objects[Key{f.var, f.version, region_hash(f.region)}].push_back(
-          std::move(f));
+    for (const FragmentPut& f : resp.fragments) {
+      objects[{f.var, f.version, region_hash(f.region)}].push_back(&f);
     }
     for (QueueBackup& e : resp.events) {
       auto& q = queues_[e.record.app];
@@ -975,61 +967,22 @@ sim::Task<void> StagingServer::rebuild_objects_from_peers() {
     }
   }
 
-  const resilience::ReedSolomon rs(params_.policy.rs_k, params_.policy.rs_m);
-  for (auto& [key, frags] : objects) {
-    const FragmentPut& first = frags.front();
-    Chunk chunk;
-    chunk.var = first.var;
-    chunk.version = first.version;
-    chunk.region = first.region;
-    chunk.content_key = first.content_key;
-    bool restored = false;
-
-    if (params_.policy.kind == resilience::Redundancy::kReplication) {
-      chunk.nominal_bytes = first.nominal_bytes;
-      chunk.data = first.data;
-      restored = chunk.data != nullptr;
-    } else {
-      chunk.nominal_bytes =
-          first.nominal_bytes *
-          static_cast<std::uint64_t>(params_.policy.rs_k);
-      std::vector<resilience::Shard> shards(
-          static_cast<std::size_t>(rs.total_shards()));
-      std::size_t original_physical = 0;
-      for (const FragmentPut& f : frags) {
-        original_physical = f.original_physical;
-        if (f.data && f.frag_index >= 0 &&
-            f.frag_index < rs.total_shards()) {
-          shards[static_cast<std::size_t>(f.frag_index)] = *f.data;
-        }
-      }
-      auto decoded = rs.decode(shards, original_physical);
-      if (decoded) {
-        // Verify the reconstruction against the chunk's content key.
-        if (verify_payload(std::as_bytes(std::span{*decoded}),
-                           chunk.content_key)) {
-          chunk.data = std::make_shared<std::vector<std::uint8_t>>(
-              std::move(*decoded));
-          restored = true;
-        }
-      }
-    }
-
-    if (restored) {
-      ++stats_.chunks_rebuilt;
-      co_await c.delay(copy_time(chunk.nominal_bytes));
-      if (params_.logging && first.logged) dlog_.add(chunk);
-      store_.put(std::move(chunk));
-      // Re-protect the restored object on the (new) fragment layout.
-      if (params_.policy.kind != resilience::Redundancy::kNone) {
-        Chunk copy = store_.get(key.var, key.version, first.region).front();
-        copy.region = first.region;
-        sim::spawn(cluster_->engine(),
-                   push_fragments(std::move(copy), first.logged));
-      }
-    } else {
+  for (const auto& [key, frags] : objects) {
+    std::optional<Chunk> chunk = decode_object(frags, params_.policy);
+    if (!chunk) {
       ++stats_.rebuild_failures;
+      continue;
     }
+    ++stats_.chunks_rebuilt;
+    const FragmentPut& first = *frags.front();
+    co_await c.delay(copy_time(chunk->nominal_bytes));
+    if (params_.logging && first.logged) dlog_.add(*chunk);
+    store_.put(std::move(*chunk));
+    // Re-protect the restored object on the (new) fragment layout.
+    Chunk copy = store_.get(first.var, first.version, first.region).front();
+    copy.region = first.region;
+    sim::spawn(cluster_->engine(),
+               push_fragments(std::move(copy), first.logged));
   }
 }
 
@@ -1079,31 +1032,12 @@ sim::Task<void> StagingServer::handle_resilver_put(ResilverPut put) {
     store_.put(std::move(put.chunk));
     poke_pending(var, version);
   } else if (params_.logging && put.logged) {
-    // A log-only version landed: poke_pending only consults the base
-    // store, so wake parked logged readers the data log now covers.
-    for (std::size_t i = 0; i < pending_.size();) {
-      GetRequest& req = pending_[i];
-      if (req.logged && req.desc.var == var && req.desc.version == version &&
-          dlog_.covers(var, version, req.desc.region)) {
-        GetRequest ready = std::move(req);
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-        wlog::LogEvent event{wlog::EventKind::kGet, ready.app,
-                             ready.desc.version, ready.desc.var,
-                             ready.desc.region, 0, 0};
-        queues_[ready.app].record(event);
-        sim::spawn(cluster_->engine(), mirror_event(std::move(event)));
-        auto pieces = dlog_.get(var, version, ready.desc.region);
-        ++stats_.gets_from_log;
-        sim::spawn(cluster_->engine(),
-                   respond_get(std::move(ready), std::move(pieces), true));
-      } else {
-        ++i;
-      }
-    }
+    // A log-only version landed: wake parked logged readers the data log
+    // now covers.
+    poke_pending(var, version, /*from_log=*/true);
   }
   poke_governor();
   ResilverAck ack;
-  ack.ok = true;
   if (governor_.enabled()) {
     ack.pressure = static_cast<double>(memory().governed()) /
                    static_cast<double>(governor_.soft_bytes());
@@ -1111,29 +1045,16 @@ sim::Task<void> StagingServer::handle_resilver_put(ResilverPut put) {
   co_await rpc_.fulfill(c, put.reply_to, std::move(put.reply), ack);
 }
 
-sim::Task<StagingServer::ResilverOutcome> StagingServer::resilver_out_impl(
-    int dest, net::EndpointId dest_ep, std::vector<Box> regions) {
+sim::Task<StagingServer::ResilverOutcome> StagingServer::hand_off_impl(
+    std::vector<HandoffDest> dests, Release release) {
   sim::Ctx c = ctx();
-  ResilverOutcome outcome;
+  std::vector<ResilverOutcome> sent_to(dests.size());
   const obs::SpanId span = track_.begin("resilver", obs::Phase::kResilver,
                                         cluster_->engine().now());
 
-  const auto moved = [&](const Box& region) {
-    for (const Box& r : regions) {
-      if (!region.intersection(r).empty()) return true;
-    }
-    return false;
-  };
-  // Drop a local piece only when the hand-off fully covers it; a chunk
-  // straddling moved and kept cells stays behind (safe duplication — the
-  // oracle's coverage invariant unions holdings across servers).
-  const auto covered = [&](const Chunk& ch) {
-    return boxes_cover(ch.region, regions);
-  };
-
   // Spilled log versions park their payload on the PFS gateway under
-  // *this* server's spill index, which the new owner cannot read. Fault
-  // them back in first so the sweep below can hand them off.
+  // *this* server's spill index, which no new owner can read. Fault them
+  // back in first so the sweep below can hand them off.
   {
     std::vector<std::pair<std::string, Version>> parked;
     for (const auto& [var, versions] : spilled_) {
@@ -1145,180 +1066,95 @@ sim::Task<StagingServer::ResilverOutcome> StagingServer::resilver_out_impl(
     }
   }
 
-  std::vector<std::string> vars = store_.variables();
-  for (const std::string& var : dlog_.variables()) {
-    if (std::find(vars.begin(), vars.end(), var) == vars.end())
-      vars.push_back(var);
-  }
-  std::sort(vars.begin(), vars.end());
-
+  const auto reaches = [](const HandoffDest& dest, const Box& region) {
+    return std::any_of(dest.regions.begin(), dest.regions.end(),
+                       [&](const Box& b) { return region.intersects(b); });
+  };
+  std::set<std::string> vars;
+  for (std::string& var : store_.variables()) vars.insert(std::move(var));
+  for (std::string& var : dlog_.variables()) vars.insert(std::move(var));
   for (const std::string& var : vars) {
-    std::vector<Version> versions = store_.versions_of(var);
-    for (Version v : dlog_.versions_of(var)) {
-      if (std::find(versions.begin(), versions.end(), v) == versions.end())
-        versions.push_back(v);
-    }
-    std::sort(versions.begin(), versions.end());
-
+    std::set<Version> versions;
+    for (Version v : store_.versions_of(var)) versions.insert(v);
+    for (Version v : dlog_.versions_of(var)) versions.insert(v);
     // Ascending versions: the destination's window rotation keeps the
     // newest, matching what the old owner would retain.
     for (const Version version : versions) {
-      const bool in_store = !store_.chunks_of(var, version).empty();
-      const bool logged =
-          params_.logging && dlog_.has(var, version);
+      const bool logged = params_.logging && dlog_.has(var, version);
       // Log-only versions travel in export form (self-contained blocks);
       // store-resident versions travel raw, and the destination's log
       // re-encodes under its own (identical) codec.
-      std::vector<Chunk> chunks = in_store
-                                      ? store_.chunks_of(var, version)
-                                      : dlog_.export_chunks(var, version);
-      bool sent_any = false;
-      for (Chunk& chunk : chunks) {
-        if (!moved(chunk.region)) continue;
-        const std::uint64_t bytes = chunk.accounted_bytes();
-        ResilverPut rp;
-        rp.from = self_index_;
-        rp.chunk = std::move(chunk);
-        rp.logged = logged;
-        rp.in_store = in_store;
-        ResilverAck ack = co_await rpc_.call(c, dest_ep, std::move(rp));
-        if (!ack.ok) continue;
-        sent_any = true;
-        ++outcome.chunks;
-        outcome.bytes += bytes;
-        ++stats_.resilver_chunks_out;
-        stats_.resilver_bytes_out += bytes;
-        track_.count("elastic.resilver_chunks_out");
-        track_.count("elastic.resilver_bytes_out", bytes);
-        // Yield to foreground traffic while the destination's governor
-        // reports pressure: resilver is background work.
-        if (ack.pressure > 1.0) {
-          co_await c.delay(net::kBackpressureBackoff);
-        }
-      }
-      if (sent_any) {
-        if (in_store) store_.drop_pieces(var, version, covered);
-        if (logged) dlog_.drop_resilvered(var, version, covered);
-      }
-    }
-  }
-
-  // Parked gets for regions this server no longer owns would wait forever
-  // (no local put will cover them): bounce them so the reader re-places
-  // against the current epoch.
-  for (std::size_t i = 0; i < pending_.size();) {
-    if (not_owner(pending_[i].desc.region)) {
-      GetRequest bounced = std::move(pending_[i]);
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      ++stats_.wrong_epoch_rejects;
-      GetResponse resp;
-      resp.wrong_epoch = true;
-      resp.epoch = group_index_ != nullptr ? group_index_->epoch() : 0;
-      sim::spawn(cluster_->engine(),
-                 rpc_.fulfill(c, bounced.reply_to, std::move(bounced.reply),
-                              std::move(resp)));
-    } else {
-      ++i;
-    }
-  }
-
-  if (outcome.chunks > 0) {
-    track_.record(cluster_->engine().now(), obs::FrKind::kResilverOut,
-                  "dest-" + std::to_string(dest),
-                  static_cast<std::int64_t>(outcome.chunks),
-                  static_cast<std::int64_t>(outcome.bytes));
-  }
-  track_.end(span, cluster_->engine().now());
-  co_return outcome;
-}
-
-sim::Task<StagingServer::ResilverOutcome> StagingServer::drain_out_impl(
-    std::vector<DrainDest> dests) {
-  sim::Ctx c = ctx();
-  ResilverOutcome outcome;
-
-  // Late spills between sweeps would strand payloads under this server's
-  // spill index; fault them back in before walking the holdings.
-  {
-    std::vector<std::pair<std::string, Version>> parked;
-    for (const auto& [var, versions] : spilled_) {
-      for (const auto& [version, bytes] : versions)
-        parked.emplace_back(var, version);
-    }
-    for (auto& [var, version] : parked) {
-      co_await ensure_log_resident(var, version);
-    }
-  }
-
-  const auto intersects = [](const Box& region,
-                             const std::vector<Box>& boxes) {
-    for (const Box& b : boxes) {
-      if (!region.intersection(b).empty()) return true;
-    }
-    return false;
-  };
-
-  std::vector<std::string> vars = store_.variables();
-  for (const std::string& var : dlog_.variables()) {
-    if (std::find(vars.begin(), vars.end(), var) == vars.end())
-      vars.push_back(var);
-  }
-  std::sort(vars.begin(), vars.end());
-
-  for (const std::string& var : vars) {
-    std::vector<Version> versions = store_.versions_of(var);
-    for (Version v : dlog_.versions_of(var)) {
-      if (std::find(versions.begin(), versions.end(), v) == versions.end())
-        versions.push_back(v);
-    }
-    std::sort(versions.begin(), versions.end());
-
-    for (const Version version : versions) {
-      const bool in_store = !store_.chunks_of(var, version).empty();
-      const bool logged = params_.logging && dlog_.has(var, version);
-      const std::vector<Chunk> chunks =
-          in_store ? store_.chunks_of(var, version)
-                   : dlog_.export_chunks(var, version);
-      std::set<std::uint64_t> released;
+      std::vector<Chunk> chunks = store_.chunks_of(var, version);
+      const bool in_store = !chunks.empty();
+      if (!in_store) chunks = dlog_.export_chunks(var, version);
+      std::set<std::uint64_t> sent;
       for (const Chunk& chunk : chunks) {
-        // The whole piece goes to every successor that now owns part of
-        // it; the local copy is released only once all of them hold it,
-        // so no reader's placement target is ever missing the bytes.
-        bool all_acked = true;
-        bool any_dest = false;
-        for (const DrainDest& dest : dests) {
-          if (!intersects(chunk.region, dest.regions)) continue;
-          any_dest = true;
+        const std::uint64_t bytes = chunk.accounted_bytes();
+        for (std::size_t d = 0; d < dests.size(); ++d) {
+          if (!reaches(dests[d], chunk.region)) continue;
           ResilverPut rp;
           rp.from = self_index_;
           rp.chunk = chunk;
           rp.logged = logged;
           rp.in_store = in_store;
           ResilverAck ack =
-              co_await rpc_.call(c, dest.endpoint, std::move(rp));
-          if (!ack.ok) {
-            all_acked = false;
-            continue;
-          }
-          ++outcome.chunks;
-          outcome.bytes += chunk.accounted_bytes();
+              co_await rpc_.call(c, dests[d].endpoint, std::move(rp));
+          sent.insert(region_hash(chunk.region));
+          ++sent_to[d].chunks;
+          sent_to[d].bytes += bytes;
           ++stats_.resilver_chunks_out;
-          stats_.resilver_bytes_out += chunk.accounted_bytes();
+          stats_.resilver_bytes_out += bytes;
+          track_.count("elastic.resilver_chunks_out");
+          track_.count("elastic.resilver_bytes_out", bytes);
+          // Yield to foreground traffic while the destination's governor
+          // reports pressure: hand-off is background work.
           if (ack.pressure > 1.0) {
             co_await c.delay(net::kBackpressureBackoff);
           }
         }
-        if (any_dest && all_acked) released.insert(region_hash(chunk.region));
       }
-      if (!released.empty()) {
-        const auto is_released = [&](const Chunk& ch) {
-          return released.count(region_hash(ch.region)) > 0;
-        };
-        if (in_store) store_.drop_pieces(var, version, is_released);
-        if (logged) dlog_.drop_resilvered(var, version, is_released);
-      }
+      if (sent.empty()) continue;
+      const auto released = [&](const Chunk& ch) {
+        if (release == Release::kDelivered) {
+          return sent.count(region_hash(ch.region)) > 0;
+        }
+        return std::any_of(dests.begin(), dests.end(), [&](const auto& d) {
+          return boxes_cover(ch.region, d.regions);
+        });
+      };
+      if (in_store) store_.drop_pieces(var, version, released);
+      if (logged) dlog_.drop_resilvered(var, version, released);
     }
   }
+
+  // Parked gets for regions this server no longer owns would wait forever
+  // (no local put will cover them): bounce them so the reader re-places
+  // against the current epoch.
+  const auto moved_away = std::stable_partition(
+      pending_.begin(), pending_.end(),
+      [&](const GetRequest& g) { return !not_owner(g.desc.region); });
+  for (auto it = moved_away; it != pending_.end(); ++it) {
+    ++stats_.wrong_epoch_rejects;
+    GetResponse resp;
+    resp.wrong_epoch = true;
+    resp.epoch = group_index_ != nullptr ? group_index_->epoch() : 0;
+    sim::spawn(cluster_->engine(), rpc_.fulfill(c, it->reply_to,
+                                                std::move(it->reply),
+                                                std::move(resp)));
+  }
+  pending_.erase(moved_away, pending_.end());
+
+  ResilverOutcome outcome;
+  for (std::size_t d = 0; d < dests.size(); ++d) {
+    outcome.chunks += sent_to[d].chunks;
+    outcome.bytes += sent_to[d].bytes;
+    if (sent_to[d].chunks == 0) continue;
+    track_.record(cluster_->engine().now(), obs::FrKind::kResilverOut,
+                  "dest-" + std::to_string(dests[d].server),
+                  static_cast<std::int64_t>(sent_to[d].chunks),
+                  static_cast<std::int64_t>(sent_to[d].bytes));
+  }
+  track_.end(span, cluster_->engine().now());
   co_return outcome;
 }
 
@@ -1397,15 +1233,10 @@ sim::Task<void> StagingServer::maintain_memory() {
   // Urgent GC sweep first: versions the watermark already passed are freed
   // for an index walk, no PFS traffic.
   if (params_.logging) {
-    const gc::SweepResult sweep = gc_.sweep(dlog_);
+    const gc::SweepResult sweep = sweep_log();
     ++stats_.urgent_gc_sweeps;
-    stats_.gc_versions_dropped += sweep.versions_dropped;
-    stats_.gc_nominal_freed += sweep.nominal_freed;
-    co_await c.delay(params_.gc_cost_per_entry *
-                     static_cast<std::int64_t>(sweep.entries_scanned + 1));
     track_.count("governor.urgent_sweeps");
-    track_.count("gc.versions_dropped", sweep.versions_dropped);
-    track_.count("gc.nominal_freed_bytes", sweep.nominal_freed);
+    co_await c.delay(gc_walk_time(sweep));
     prune_spilled_upto_watermark();
   }
 

@@ -220,37 +220,38 @@ class StagingServer {
   void apply_membership(std::uint64_t epoch, std::vector<int> active);
   [[nodiscard]] std::uint64_t membership_epoch() const { return view_epoch_; }
 
-  /// Outcome of one resilver sweep (see resilver_out).
+  /// Outcome of one hand-off sweep (see hand_off).
   struct ResilverOutcome {
     std::uint64_t chunks = 0;
     std::uint64_t bytes = 0;
   };
 
-  /// Resilver hand-off, driven by the GroupManager: push every store/log
-  /// piece intersecting `regions` to the new owner at `dest_ep` (each
-  /// transfer is acknowledged before the local copy is dropped), then
-  /// bounce parked gets for regions no longer owned. Sources back off
-  /// while the destination's governor reports pressure. Plain shim over a
-  /// private coroutine (GCC 12 coroutine-parameter caveat, see client).
-  sim::Task<ResilverOutcome> resilver_out(int dest, net::EndpointId dest_ep,
-                                          std::vector<Box> regions) {
-    return resilver_out_impl(dest, dest_ep, std::move(regions));
-  }
-
-  /// One successor of a retiring server: the new owner of `regions`.
-  struct DrainDest {
+  /// One destination of a hand-off sweep: the new owner of `regions`.
+  struct HandoffDest {
     int server = -1;
     net::EndpointId endpoint = 0;
     std::vector<Box> regions;
   };
 
-  /// Retirement drain for chunks resilver_out cannot release: a piece
-  /// straddling cells that moved to *different* successors is covered by
-  /// no single transfer. This pass hands each remaining piece whole to
-  /// every successor whose regions intersect it — sequentially, so every
-  /// new owner holds the data before the local copy is dropped.
-  sim::Task<ResilverOutcome> drain_out(std::vector<DrainDest> dests) {
-    return drain_out_impl(std::move(dests));
+  /// Which sent pieces a hand-off sweep releases from the local copy.
+  enum class Release {
+    /// Join resilver: pieces the moved regions fully cover. A straddler of
+    /// moved and kept cells stays behind (safe duplication).
+    kCovered,
+    /// Retire drain: every piece, once each destination it intersects
+    /// holds it whole — the retiree may hold straddlers, delivered whole
+    /// by earlier joins, that no single destination's regions cover.
+    kDelivered,
+  };
+
+  /// Chunk hand-off, driven by the GroupManager (one destination for a
+  /// join, every successor for a retire's drain): fault spilled versions
+  /// back in, send each piece to every destination it intersects, release
+  /// per `release`, then bounce parked gets for regions no longer owned.
+  /// Plain shim over a private coroutine (GCC 12 caveat, see client).
+  sim::Task<ResilverOutcome> hand_off(std::vector<HandoffDest> dests,
+                                      Release release) {
+    return hand_off_impl(std::move(dests), release);
   }
 
   /// Retirement: re-home fragments held for other owners and forward
@@ -322,6 +323,15 @@ class StagingServer {
   /// reclaim fragments below the retention floor. Caller guards on
   /// params_.logging.
   sim::Task<void> sweep_after_durable(Version version);
+  /// One data-log GC sweep behind the current watermarks, accounted in
+  /// stats and metrics. The caller charges gc_walk_time() for it and then
+  /// retires passed spill files.
+  gc::SweepResult sweep_log();
+  [[nodiscard]] sim::Duration gc_walk_time(
+      const gc::SweepResult& sweep) const {
+    return params_.gc_cost_per_entry *
+           static_cast<std::int64_t>(sweep.entries_scanned + 1);
+  }
   /// Per-variable GC watermarks before a checkpoint is applied (empty when
   /// the checkpoint cannot move them or nothing observes the advance).
   [[nodiscard]] std::vector<std::pair<std::string, Version>>
@@ -329,10 +339,8 @@ class StagingServer {
   /// Record every watermark that moved past its `before` snapshot.
   void note_watermark_advances(
       const std::vector<std::pair<std::string, Version>>& before);
-  sim::Task<ResilverOutcome> resilver_out_impl(int dest,
-                                               net::EndpointId dest_ep,
-                                               std::vector<Box> regions);
-  sim::Task<ResilverOutcome> drain_out_impl(std::vector<DrainDest> dests);
+  sim::Task<ResilverOutcome> hand_off_impl(std::vector<HandoffDest> dests,
+                                           Release release);
   sim::Task<void> handoff_redundancy_impl();
   /// Position of this server in the active view, or -1 when retired.
   [[nodiscard]] int active_pos() const;
@@ -349,6 +357,11 @@ class StagingServer {
   /// cost except the per-request overhead (charged once per *message* by
   /// the caller).
   sim::Task<PutResponse> apply_put(AppId app, bool logged, Chunk chunk);
+  /// Account one governor admission verdict for `chunk` (pooled, or the
+  /// tenant's fair share); true when the put is rejected, in which case
+  /// relief is already under way.
+  bool admission_rejects(MemoryGovernor::Admission verdict,
+                         const Chunk& chunk, bool fair_share);
 
   /// Push redundancy fragments of a freshly applied chunk to peers and
   /// notify them of reclaimable older versions (detached).
@@ -384,8 +397,13 @@ class StagingServer {
   /// Serve a get whose data is present; pays response transport.
   sim::Task<void> respond_get(GetRequest req, std::vector<Chunk> pieces,
                               bool from_log);
-  /// Re-check pending gets after a put made (var, version) more complete.
-  void poke_pending(const std::string& var, Version version);
+  /// Re-check pending gets after a put made (var, version) more complete:
+  /// in the base store, or — `from_log`, a log-only resilver landing — in
+  /// the data log, which wakes only exact-version logged readers.
+  void poke_pending(const std::string& var, Version version,
+                    bool from_log = false);
+  /// Record a served logged get in the app's event queue and mirror it.
+  void log_get(AppId app, const ObjectDesc& desc);
 
   [[nodiscard]] sim::Ctx ctx() { return cluster_->ctx_for(vproc_); }
   [[nodiscard]] sim::Duration copy_time(std::uint64_t bytes) const;

@@ -275,9 +275,9 @@ std::uint64_t instrumentation_digest(WorkflowRunner& runner) {
 constexpr sim::Duration kStagingKillAt = sim::seconds(110);
 
 /// Arm a one-spare StagingRecoveryManager over the runtime's staging group
-/// and kill `staging-1` at kStagingKillAt. The manager must outlive the
-/// runner's teardown, whose vproc kills it observes (the single spare is
-/// spent by then, so they only mark servers degraded).
+/// and kill `staging-1` at kStagingKillAt. The runner's teardown drops the
+/// failure observers before it kills the vprocs, so this is the only kill
+/// the manager observes.
 std::unique_ptr<staging::StagingRecoveryManager> arm_staging_kill(
     Runtime& rt) {
   std::vector<cluster::VprocId> vprocs;

@@ -75,6 +75,9 @@ struct Rig {
     if (group_endpoint) client->set_group_endpoint(group->endpoint());
     return client;
   }
+
+  // Unwind every process so no coroutine frame outlives the rig.
+  ~Rig() { cluster.shutdown(); }
 };
 
 struct PutOutcome {

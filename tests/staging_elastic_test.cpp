@@ -14,6 +14,8 @@
 #include "core/setups.hpp"
 #include "dht/spatial_index.hpp"
 #include "net/rpc.hpp"
+#include "obs/observability.hpp"
+#include "obs/track.hpp"
 #include "sim/spawn.hpp"
 #include "staging/client.hpp"
 #include "staging/degraded_read.hpp"
@@ -105,6 +107,9 @@ struct ElasticRig {
   }
 
   void run() { eng.run(); }
+
+  // Unwind every process so no coroutine frame outlives the rig.
+  ~ElasticRig() { cluster.shutdown(); }
 };
 
 TEST(StagingElasticTest, ViewPosLocatesServersInMembershipViews) {
@@ -207,6 +212,50 @@ TEST(StagingElasticTest, RetireDrainsTheLeaverCompletely) {
   EXPECT_EQ(wrong, 0);
   EXPECT_EQ(bytes, 2u * rig.domain.volume() * 8);
   EXPECT_EQ(rig.group->stats().retires, 1u);
+}
+
+TEST(StagingElasticTest, DrainHandOffsAreCountedLikeResilverOnes) {
+  // The retiree's x-strips can straddle cells that move to different
+  // successors. No single successor's regions cover such a piece, so only
+  // the drain sweep hands it off — and those sends must show in the
+  // elastic.resilver_* metrics exactly as in ServerStats.
+  obs::Observability obs;
+  ElasticRig rig(3, 0, elastic_params(resilience::Redundancy::kNone));
+  for (std::size_t s = 0; s < rig.servers.size(); ++s) {
+    rig.servers[s]->set_track(
+        obs::Track(&obs, nullptr, "staging-" + std::to_string(s)));
+  }
+  auto producer = rig.make_client(0);
+  std::vector<Box> retiree_pieces;
+  bool retired = false;
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    for (Version v = 1; v <= 2; ++v)
+      co_await producer->put(ctx, "f", v, rig.domain);
+    for (const Chunk& piece : rig.servers[1]->store().chunks_of("f", 2))
+      retiree_pieces.push_back(piece.region);
+    GroupChangeAck ack = co_await rig.change(ctx, /*join=*/false, 1);
+    retired = ack.ok;
+  });
+  rig.run();
+  ASSERT_TRUE(retired);
+  EXPECT_TRUE(rig.servers[1]->drained());
+  std::size_t straddlers = 0;
+  for (const Box& piece : retiree_pieces) {
+    if (rig.index.place(piece).size() > 1) ++straddlers;
+  }
+  ASSERT_GT(straddlers, 0u);
+
+  const ServerStats& st = rig.servers[1]->stats();
+  EXPECT_GT(st.resilver_chunks_out, 0u);
+  EXPECT_EQ(obs.metrics()
+                .counter("elastic.resilver_chunks_out", "staging-1")
+                .value(),
+            st.resilver_chunks_out);
+  EXPECT_EQ(obs.metrics()
+                .counter("elastic.resilver_bytes_out", "staging-1")
+                .value(),
+            st.resilver_bytes_out);
 }
 
 TEST(StagingElasticTest, StaleViewBouncesWithWrongEpochAndRefreshes) {

@@ -83,6 +83,9 @@ struct Rig {
   }
 
   void run() { eng.run(); }
+
+  // Unwind every process so no coroutine frame outlives the rig.
+  ~Rig() { cluster.shutdown(); }
 };
 
 TEST(StagingGovernorTest, OversizedPutAdmittedAsOverrun) {

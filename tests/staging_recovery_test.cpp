@@ -9,6 +9,7 @@
 
 #include "cluster/cluster.hpp"
 #include "dht/spatial_index.hpp"
+#include "net/rpc.hpp"
 #include "sim/spawn.hpp"
 #include "staging/client.hpp"
 #include "staging/recovery.hpp"
@@ -73,6 +74,9 @@ struct Rig {
   }
 
   void run() { eng.run(); }
+
+  // Unwind every process so no coroutine frame outlives the rig.
+  ~Rig() { cluster.shutdown(); }
 };
 
 class RecoveryPolicyTest
@@ -123,6 +127,53 @@ INSTANTIATE_TEST_SUITE_P(Policies, RecoveryPolicyTest,
                                       ? std::string("Replication")
                                       : std::string("ErasureCode");
                          });
+
+TEST(StagingRecoveryTest, RebuildRestoresOnlyAVerifiedReplica) {
+  // Server 1 holds a corrupt replica of each of server 0's pieces ahead of
+  // the good one its owner pushes. The replacement for server 0 must
+  // restore the replica whose bytes match the content key.
+  Rig rig(3, params_with(resilience::Redundancy::kReplication));
+  auto producer = rig.make_client(0);
+  auto consumer = rig.make_client(1);
+  const auto ctl_vp = rig.cluster.add_vproc("ctl", rig.cluster.add_node());
+  net::Rpc ctl(rig.fabric, rig.cluster.vproc(ctl_vp).endpoint);
+  std::vector<Box> owned;
+  for (const dht::Placement& p : rig.index.place(rig.domain)) {
+    if (p.server == 0) owned = p.pieces;
+  }
+  ASSERT_FALSE(owned.empty());
+  int wrong = 0, corrupt = 0;
+  sim::spawn(rig.eng, [&]() -> sim::Task<void> {
+    sim::Ctx ctx{&rig.eng, nullptr};
+    for (const Box& piece : owned) {
+      const Chunk good = make_chunk("f", 3, piece, 8.0, 4096);
+      auto bad = std::make_shared<std::vector<std::uint8_t>>(*good.data);
+      (*bad)[bad->size() / 2] ^= 0xff;
+      net::Message replica{FragmentPut{0, good.var, good.version,
+                                       good.region, 1, good.nominal_bytes,
+                                       bad->size(), good.content_key, true,
+                                       std::move(bad)}};
+      co_await ctl.send(
+          ctx, rig.cluster.vproc(rig.server_vprocs[1]).endpoint,
+          std::move(replica));
+    }
+    for (Version v = 1; v <= 3; ++v)
+      co_await producer->put(ctx, "f", v, rig.domain);
+    co_await ctx.delay(sim::seconds(5));  // let replicas propagate
+
+    rig.cluster.kill(rig.server_vprocs[0]);
+    co_await ctx.delay(sim::seconds(10));
+
+    auto gr = co_await consumer->get(ctx, "f", 3, rig.domain);
+    wrong = gr.wrong_version;
+    corrupt = gr.corrupt;
+  });
+  rig.run();
+  EXPECT_EQ(rig.manager->stats().servers_recovered, 1);
+  EXPECT_EQ(rig.servers[0]->stats().rebuild_failures, 0u);
+  EXPECT_EQ(wrong, 0);
+  EXPECT_EQ(corrupt, 0);
+}
 
 TEST(StagingRecoveryTest, RequestsDuringOutageAreServedAfterRebuild) {
   Rig rig(3, params_with(resilience::Redundancy::kErasureCode));

@@ -44,6 +44,9 @@ struct Rig {
     return std::make_unique<StagingClient>(cluster, index, server_vprocs,
                                            vp, cp);
   }
+
+  // Unwind every process so no coroutine frame outlives the rig.
+  ~Rig() { cluster.shutdown(); }
 };
 
 TEST(StagingRetryTest, ExhaustedRetriesSurfaceAnError) {

@@ -83,6 +83,9 @@ struct Rig {
     }
     return t;
   }
+
+  // Unwind every process so no coroutine frame outlives the rig.
+  ~Rig() { cluster.shutdown(); }
 };
 
 TEST(StagingRtTest, PutThenGetRoundTrip) {

@@ -176,6 +176,9 @@ struct TenantRig {
   }
 
   void run() { eng.run(); }
+
+  // Unwind every process so no coroutine frame outlives the rig.
+  ~TenantRig() { cluster.shutdown(); }
 };
 
 TEST(TenantRollbackTest, ScopedRollbackLeavesCoResidentTenantIntact) {
